@@ -174,8 +174,11 @@ pub struct SkinnyMineConfig {
     /// Whether Stage I also seeds frequent **odd cycles** `C_{2l+1}` — the
     /// minimal non-path constraint-satisfying patterns (e.g. C₅ for `l = 2`),
     /// which Stage II cannot reach from path seeds.  Required for
-    /// Definition-8 completeness on adversarial inputs; costs an extra
-    /// frequent-path pass at length `2l` per admitted `l`.
+    /// Definition-8 completeness on adversarial inputs.  Under
+    /// `Transactions` it costs one self-join of each mined length-`l` path
+    /// level, under `MinimumImage` a second length-`l` ladder plus that
+    /// join, and under the other measures a frequent-path pass at length
+    /// `2l` (see `DiamMine::cycle_seeds_with_stats`).
     pub cycle_seeds: bool,
     /// Which Stage-II engine evaluates candidate extensions (output is
     /// byte-identical either way).

@@ -7,16 +7,29 @@
 //! constraint for `δ >= 1` (e.g. C₅ for `l = 2`), and Stage II can never
 //! reach it by growing a path seed: each intermediate would violate the
 //! canonical-diameter invariant.  Definition-8 completeness on adversarial
-//! inputs therefore needs these cycles seeded directly, which
-//! [`DiamMine::frequent_cycles`](crate::diam_mine::DiamMine::frequent_cycles)
-//! derives from the frequent paths of length `2l` by a closing-edge check.
+//! inputs therefore needs these cycles seeded directly.
+//!
+//! A `C_{2l+1}` occurrence is exactly two length-`l` paths that start at the
+//! cycle's smallest vertex, are otherwise disjoint, and end at the two
+//! endpoints of one data edge.  For an anti-monotone support measure both
+//! halves of a frequent cycle are frequent paths, so
+//! [`DiamMine::cycles_from_level`](crate::diam_mine::DiamMine::cycles_from_level)
+//! derives every frequent cycle by a self-join of a length-`l` level.  Under
+//! the measures that are not anti-monotone a frequent cycle can have an
+//! infrequent half, and the cycles are closed from the frequent length-`2l`
+//! paths instead;
+//! [`DiamMine::cycle_seeds_with_stats`](crate::diam_mine::DiamMine::cycle_seeds_with_stats)
+//! picks the route.
 //!
 //! A labeled cycle has `2m` symmetries (`m` rotations × 2 directions);
 //! [`CyclePattern::canonicalize`] quotients them out so each undirected cycle
-//! occurrence is stored exactly once under one canonical key.
+//! occurrence is stored exactly once under one canonical key, and
+//! [`CyclePattern::dedup`] sorts the rows, so the stored bytes depend only on
+//! the occurrence set and not on the route that found it.
 
 use serde::{Deserialize, Serialize};
 use skinny_graph::{GraphView, Label, LabeledGraph, OccurrenceStore, SupportMeasure, VertexId};
+use std::collections::HashMap;
 
 /// The canonical identity of a labeled cycle: vertex labels in cyclic order
 /// plus edge labels, minimized over all rotations and reflections.
@@ -102,11 +115,21 @@ impl CyclePattern {
         self.embeddings.push_row(t, vertices);
     }
 
-    /// Removes exact duplicate occurrences.  The same undirected cycle is
-    /// discovered once per length-`2l` sub-path (there are `2l + 1` of them),
-    /// and canonicalization maps all of those discoveries to the same row.
+    /// Sorts the occurrences by `(transaction, vertices)` and removes exact
+    /// duplicates (a route that discovers the same undirected cycle more than
+    /// once, e.g. once per length-`2l` sub-path, canonicalizes every
+    /// discovery to the same row).  The sorted order makes the stored rows a
+    /// function of the occurrence set alone.
     pub fn dedup(&mut self) {
-        self.embeddings.dedup_exact();
+        let s = &self.embeddings;
+        let mut order: Vec<usize> = (0..s.len()).collect();
+        order.sort_unstable_by(|&a, &b| (s.transaction(a), s.row(a)).cmp(&(s.transaction(b), s.row(b))));
+        order.dedup_by(|a, b| s.get(*a) == s.get(*b));
+        let mut sorted = OccurrenceStore::with_capacity(s.arity(), order.len());
+        for i in order {
+            sorted.push_row(s.transaction(i), s.row(i));
+        }
+        self.embeddings = sorted;
     }
 
     /// Canonicalizes one cycle occurrence given as a directed *path* vertex
@@ -181,6 +204,59 @@ impl CyclePattern {
     }
 }
 
+/// Accumulates canonicalized cycle occurrences by key on the cycle-key
+/// fingerprint funnel: an occurrence is routed by the cheap 64-bit
+/// [`CycleKey::fingerprint`] and the full key is compared only inside a
+/// bucket, so the per-occurrence path neither clones a key nor walks an
+/// ordered map.
+#[derive(Debug, Default)]
+pub(crate) struct CycleTable {
+    patterns: Vec<CyclePattern>,
+    by_fp: HashMap<u64, Vec<u32>>,
+}
+
+impl CycleTable {
+    /// Adds the cycle occurrence given as a directed path `path_vertices`
+    /// whose endpoints are joined by a data edge labeled `closing`.
+    pub(crate) fn push<G: GraphView>(
+        &mut self,
+        view: &G,
+        t: usize,
+        path_vertices: &[VertexId],
+        closing: Label,
+    ) {
+        let (key, canonical_vertices) = CyclePattern::canonicalize(view, path_vertices, closing);
+        let bucket = self.by_fp.entry(key.fingerprint()).or_default();
+        let patterns = &mut self.patterns;
+        let idx = match bucket.iter().copied().find(|&i| patterns[i as usize].key == key) {
+            Some(i) => i,
+            None => {
+                let i = patterns.len() as u32;
+                patterns.push(CyclePattern::new(key));
+                bucket.push(i);
+                i
+            }
+        };
+        patterns[idx as usize].push_occurrence(t, &canonical_vertices);
+    }
+
+    /// The accumulated cycles with support `>= sigma`, each deduplicated
+    /// into sorted row order, in key order.
+    pub(crate) fn into_frequent(self, measure: SupportMeasure, sigma: usize) -> Vec<CyclePattern> {
+        let mut out: Vec<CyclePattern> = self
+            .patterns
+            .into_iter()
+            .map(|mut c| {
+                c.dedup();
+                c
+            })
+            .filter(|c| c.support(measure) >= sigma)
+            .collect();
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +328,18 @@ mod tests {
         assert_eq!(p.cycle_len(), 5);
         assert_eq!(p.diameter_len(), 2);
         assert_eq!(p.support(SupportMeasure::DistinctVertexSets), 1);
+    }
+
+    #[test]
+    fn dedup_sorts_rows_by_transaction_then_vertices() {
+        let mut p = CyclePattern::new(CycleKey { vertex_labels: vec![l(0); 3], edge_labels: vec![l(0); 3] });
+        for (t, ids) in [(1, [0, 1, 2]), (0, [3, 4, 5]), (0, [0, 4, 5]), (1, [0, 1, 2]), (0, [3, 4, 5])] {
+            p.push_occurrence(t, &v(&ids));
+        }
+        p.dedup();
+        let rows: Vec<(usize, Vec<VertexId>)> =
+            p.embeddings.iter().map(|r| (r.transaction, r.vertices.to_vec())).collect();
+        assert_eq!(rows, vec![(0, v(&[0, 4, 5])), (0, v(&[3, 4, 5])), (1, v(&[0, 1, 2]))]);
     }
 
     #[test]

@@ -22,9 +22,18 @@
 //! stored path straight out of a flat columnar arena without
 //! cloning vertex vectors.
 //!
-//! Beyond paths, [`DiamMine::frequent_cycles`] seeds the frequent odd cycles
-//! `C_{2l+1}` — the minimal *non-path* constraint-satisfying patterns that
-//! Stage II cannot reach from path seeds (e.g. C₅ for `l = 2`).
+//! Beyond paths, [`DiamMine::cycle_seeds_with_stats`] seeds the frequent odd
+//! cycles `C_{2l+1}` — the minimal *non-path* constraint-satisfying patterns
+//! that Stage II cannot reach from path seeds (e.g. C₅ for `l = 2`).  A
+//! `C_{2l+1}` occurrence is two length-`l` occurrences that share their head
+//! vertex (the cycle's smallest vertex), are otherwise disjoint, and have
+//! adjacent tails, so under an anti-monotone measure the cycles come from
+//! one self-join of a length-`l` level plus one edge probe per surviving
+//! pair ([`DiamMine::cycles_from_level`]) — the same direct,
+//! occurrence-level derivation as the path joins.  Under the measures that
+//! are not anti-monotone a frequent cycle can have an infrequent half, so
+//! the cycles are closed from the frequent length-`2l` paths instead
+//! ([`DiamMine::cycles_from_paths`]).
 //!
 //! The ladder joins run on three raw-speed kernels (mirroring the grow
 //! engine's):
@@ -51,7 +60,7 @@
 //! ([`DiamMine::concat_double_reference`] /
 //! [`DiamMine::merge_to_length_reference`]) for every thread count.
 
-use crate::cycle::CyclePattern;
+use crate::cycle::{CyclePattern, CycleTable};
 use crate::data::MiningData;
 use crate::level_grow::phase_ticks;
 use crate::path_pattern::{PathKey, PathPattern, PatternTable};
@@ -81,6 +90,12 @@ pub struct DiamMine<'a> {
     /// ladder level is a pure function of level 1, so the whole doubling
     /// ladder flows unchanged from the injected set.
     level1_override: Option<Vec<PathPattern>>,
+    /// When set, a label-palindromic key's [`SupportMeasure::MinimumImage`]
+    /// counts each position's image together with its mirror position's —
+    /// the images under the path's reversal automorphism, i.e. the exact
+    /// minimum image of the pattern.  The stored support counts one
+    /// orientation per undirected occurrence and can be lower.
+    mirror_images: bool,
 }
 
 /// Collects both directed orientations of every stored path occurrence of
@@ -344,7 +359,7 @@ impl<'a> DiamMine<'a> {
     /// Creates a Stage-I miner over `data` with support threshold `sigma`
     /// under the given support measure.
     pub fn new(data: MiningData<'a>, sigma: usize, support: SupportMeasure) -> Self {
-        DiamMine { data, sigma, support, threads: 1, level1_override: None }
+        DiamMine { data, sigma, support, threads: 1, level1_override: None, mirror_images: false }
     }
 
     /// Sets the number of worker threads used by the occurrence-level joins
@@ -365,6 +380,20 @@ impl<'a> DiamMine<'a> {
     pub fn with_frequent_edges(mut self, level1: Vec<PathPattern>) -> Self {
         self.level1_override = Some(level1);
         self
+    }
+
+    /// This miner with mirrored palindromic images (see `mirror_images`)
+    /// and no injected level 1, whose finalized form is filtered by the
+    /// stored support.
+    fn mirrored(&self) -> DiamMine<'a> {
+        DiamMine {
+            data: self.data.clone(),
+            sigma: self.sigma,
+            support: self.support,
+            threads: self.threads,
+            level1_override: None,
+            mirror_images: true,
+        }
     }
 
     /// All frequent paths of length exactly 1 (frequent edges) — the seed set
@@ -892,9 +921,8 @@ impl<'a> DiamMine<'a> {
 
     /// [`DiamMine::mine_exact`] for several lengths at once, sharing one
     /// carried power-of-two doubling ladder across all of them instead of
-    /// rebuilding it per length (the ladder up to `2^k <= max(lengths)`
-    /// dominates the cost when the lengths are close together, as in cycle
-    /// seeding).
+    /// rebuilding it per length (the length-`2l` cycle-seed route mines its
+    /// missing even lengths this way).
     pub fn mine_exact_many(&self, lengths: &[usize]) -> BTreeMap<usize, Vec<PathPattern>> {
         self.mine_exact_many_with_stats(lengths, &mut MiningStats::default())
     }
@@ -921,31 +949,150 @@ impl<'a> DiamMine<'a> {
     /// `l` — the minimal **non-path** constraint-satisfying patterns of the
     /// skinny constraint (e.g. C₅ for `l = 2`: every one-edge or one-vertex
     /// reduction violates the constraint, so Definition-8 completeness needs
-    /// these as Stage-II seeds).
-    ///
-    /// A `C_{2l+1}` occurrence is a frequent path of length `2l` whose
-    /// endpoints are adjacent in the data, so the cycles are derived from
-    /// [`DiamMine::mine_exact`]`(2l)` by a closing-edge check per occurrence.
+    /// these as Stage-II seeds), derived as [`DiamMine::cycle_seeds_with_stats`]
+    /// derives them.
     pub fn frequent_cycles(&self, l: usize) -> Vec<CyclePattern> {
         if l == 0 {
             return Vec::new();
         }
-        let paths = self.mine_exact(2 * l);
-        self.cycles_from_paths(&paths, l)
+        let levels = BTreeMap::from([(l, self.mine_exact(l))]);
+        let mut found = self.cycle_seeds_with_stats(&levels, &[l], Some(l), &mut MiningStats::default());
+        found.remove(&l).unwrap_or_default()
+    }
+
+    /// The Stage-I cycle seeds shared by `SkinnyMine::mine` and the
+    /// minimal-pattern index: the frequent `C_{2l+1}` for every `l` in
+    /// `lengths`, keyed by `l` (lengths without a frequent cycle are
+    /// absent).  `levels` are the frequent paths by length as
+    /// [`DiamMine::mine_range`] returns them when mining through
+    /// `mined_through` (`None` = until exhausted).
+    ///
+    /// The route depends on the support measure, and each one finds every
+    /// frequent cycle the closing route
+    /// (`cycles_from_paths(mine_exact(2l), l)`) finds:
+    ///
+    /// * [`SupportMeasure::Transactions`] is anti-monotone and counted
+    ///   exactly by Stage I, so both halves of a frequent cycle are in the
+    ///   mined length-`l` level: [`DiamMine::cycles_from_level`] over it.
+    /// * [`SupportMeasure::MinimumImage`] is anti-monotone, but the stored
+    ///   support of a label-palindromic path counts one orientation per
+    ///   occurrence and can drop the half of a frequent cycle.  The
+    ///   length-`l` levels are mined again with each palindromic path's
+    ///   images joined to their mirror images — the exact minimum image, so
+    ///   every half survives — and [`DiamMine::cycles_from_level`] joins
+    ///   those.
+    /// * [`SupportMeasure::DistinctVertexSets`] and
+    ///   [`SupportMeasure::EmbeddingCount`] are not anti-monotone: a frequent
+    ///   cycle can have an infrequent half.  The cycles are closed from the
+    ///   frequent length-`2l` paths ([`DiamMine::cycles_from_paths`]), taken
+    ///   from `levels` or, for `2l` beyond `mined_through`, mined on one
+    ///   shared ladder.  A `2l` inside the mined range but absent from
+    ///   `levels` has no frequent path, hence no cycle.
+    pub fn cycle_seeds_with_stats(
+        &self,
+        levels: &BTreeMap<usize, Vec<PathPattern>>,
+        lengths: &[usize],
+        mined_through: Option<usize>,
+        stats: &mut MiningStats,
+    ) -> BTreeMap<usize, Vec<CyclePattern>> {
+        let lengths: Vec<usize> = lengths.iter().copied().filter(|&l| l > 0).collect();
+        let found: Vec<(usize, Vec<CyclePattern>)> = match self.support {
+            SupportMeasure::Transactions => lengths
+                .iter()
+                .filter_map(|&l| levels.get(&l).map(|paths| (l, self.cycles_from_level(paths, l))))
+                .collect(),
+            SupportMeasure::MinimumImage => {
+                let exact = self.mirrored().mine_exact_many_with_stats(&lengths, stats);
+                exact.iter().map(|(&l, paths)| (l, self.cycles_from_level(paths, l))).collect()
+            }
+            SupportMeasure::DistinctVertexSets | SupportMeasure::EmbeddingCount => {
+                let missing: Vec<usize> = lengths
+                    .iter()
+                    .map(|&l| 2 * l)
+                    .filter(|&n| !levels.contains_key(&n) && mined_through.is_some_and(|h| n > h))
+                    .collect();
+                let extra = if missing.is_empty() {
+                    BTreeMap::new()
+                } else {
+                    self.mine_exact_many_with_stats(&missing, stats)
+                };
+                lengths
+                    .iter()
+                    .filter_map(|&l| {
+                        let paths_2l = levels.get(&(2 * l)).or_else(|| extra.get(&(2 * l)))?;
+                        Some((l, self.cycles_from_paths(paths_2l, l)))
+                    })
+                    .collect()
+            }
+        };
+        found.into_iter().filter(|(_, cycles)| !cycles.is_empty()).collect()
+    }
+
+    /// Derives the frequent `C_{2l+1}` cycles from the frequent paths of
+    /// length `l` by a self-join of the level's occurrences.
+    ///
+    /// Every undirected cycle occurrence is emitted exactly once: its
+    /// smallest vertex `h` is the shared head, and of the two length-`l`
+    /// walks around the cycle from `h` the one with the smaller second
+    /// vertex is the left half.  So the join reads only the directed rows
+    /// that start at their smallest vertex (at most one per occurrence),
+    /// grouped by `(transaction, head)` on a prefix-1 [`PrefixIndex`]; a
+    /// pair survives when its tails are adjacent (one edge probe) and its
+    /// vertices are distinct (one marked probe).  Occurrences are
+    /// canonicalized through [`CyclePattern::canonicalize`] and σ-filtered
+    /// as [`DiamMine::cycles_from_paths`] does.
+    ///
+    /// The result holds every frequent cycle both of whose halves are in
+    /// `paths_l` with all their occurrences, which
+    /// [`DiamMine::cycle_seeds_with_stats`] guarantees for the measures it
+    /// uses this join under.
+    pub fn cycles_from_level(&self, paths_l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
+        if l == 0 || paths_l.is_empty() {
+            return Vec::new();
+        }
+        debug_assert!(paths_l.iter().all(|p| p.len() == l), "cycle seeds need paths of length l");
+        let rows: usize = paths_l.iter().map(|p| p.embeddings.len()).sum();
+        let mut halves = OccurrenceStore::with_capacity(l + 1, rows);
+        for occ in paths_l.iter().flat_map(|p| p.embeddings.iter()) {
+            let v = occ.vertices;
+            if v[1..].iter().all(|&x| x > v[0]) {
+                halves.push_row(occ.transaction, v);
+            } else if v[..l].iter().all(|&x| x > v[l]) {
+                halves.push_row_reversed(occ.transaction, v);
+            }
+        }
+        let mut index = PrefixIndex::default();
+        index.build(&halves, 1);
+        let mut scratch = JoinScratch::new();
+        let mut table = CycleTable::default();
+        for i in 0..halves.len() {
+            let a = halves.row(i);
+            let t = halves.transaction(i);
+            let view = self.data.view(t);
+            for &bi in index.postings(&halves, t, &a[..1]) {
+                let b = halves.row(bi as usize);
+                if b[1] <= a[1] {
+                    continue;
+                }
+                let Some(closing) = view.edge_label(a[l], b[l]) else { continue };
+                scratch.row.clear();
+                scratch.row.extend(a.iter().rev());
+                scratch.row.extend_from_slice(&b[1..]);
+                if all_distinct_marked(&scratch.row, &mut scratch.marks) {
+                    table.push(&view, t, &scratch.row, closing);
+                }
+            }
+        }
+        table.into_frequent(self.support, self.sigma)
     }
 
     /// Derives the frequent `C_{2l+1}` cycles from an already-mined set of
-    /// frequent paths of length `2l` (used by the minimal-pattern index,
-    /// which has those paths stored).
+    /// frequent paths of length `2l` by a closing-edge check per occurrence
+    /// — the route [`DiamMine::cycle_seeds_with_stats`] takes under the
+    /// measures that are not anti-monotone, and the reference the join
+    /// route is checked against.
     pub fn cycles_from_paths(&self, paths_2l: &[PathPattern], l: usize) -> Vec<CyclePattern> {
-        // accumulation runs on the cycle-key fingerprint funnel: occurrences
-        // are routed by the cheap 64-bit key fingerprint and the full key is
-        // compared only inside a bucket, so the hot per-occurrence path
-        // neither clones the key nor walks a `BTreeMap` (the output is
-        // key-sorted once at the end, which restores the exact order the
-        // previous ordered-map accumulation produced)
-        let mut patterns: Vec<CyclePattern> = Vec::new();
-        let mut by_fp: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut table = CycleTable::default();
         for p in paths_2l {
             debug_assert_eq!(p.len(), 2 * l, "cycle seeds need paths of length 2l");
             for occ in p.embeddings.iter() {
@@ -953,31 +1100,12 @@ impl<'a> DiamMine<'a> {
                 let view = self.data.view(t);
                 let head = occ.vertices[0];
                 let tail = *occ.vertices.last().expect("path occurrence is nonempty");
-                let Some(closing) = view.edge_label(head, tail) else { continue };
-                let (key, canonical_vertices) = CyclePattern::canonicalize(&view, occ.vertices, closing);
-                let bucket = by_fp.entry(key.fingerprint()).or_default();
-                let idx = match bucket.iter().copied().find(|&i| patterns[i as usize].key == key) {
-                    Some(i) => i,
-                    None => {
-                        let i = patterns.len() as u32;
-                        patterns.push(CyclePattern::new(key));
-                        bucket.push(i);
-                        i
-                    }
-                };
-                patterns[idx as usize].push_occurrence(t, &canonical_vertices);
+                if let Some(closing) = view.edge_label(head, tail) {
+                    table.push(&view, t, occ.vertices, closing);
+                }
             }
         }
-        let mut out: Vec<CyclePattern> = patterns
-            .into_iter()
-            .map(|mut c| {
-                c.dedup();
-                c
-            })
-            .filter(|c| c.support(self.support) >= self.sigma)
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
+        table.into_frequent(self.support, self.sigma)
     }
 
     /// All frequent simple paths for every length in `[lo, hi]`
@@ -1068,7 +1196,13 @@ impl<'a> DiamMine<'a> {
         let mut out: Vec<PathPattern> = patterns
             .into_iter()
             .filter_map(|mut p| {
-                if p.embeddings.len() < self.sigma {
+                let mirrored = self.mirror_images
+                    && self.support == SupportMeasure::MinimumImage
+                    && p.key.is_palindromic();
+                // each row contributes at most two images per position when
+                // mirrored, one otherwise
+                let cap = if mirrored { 2 * p.embeddings.len() } else { p.embeddings.len() };
+                if cap < self.sigma {
                     rows_pruned += p.embeddings.len() as u64;
                     rejected += 1;
                     return None;
@@ -1076,7 +1210,12 @@ impl<'a> DiamMine<'a> {
                 if dedup {
                     p.dedup_with(&mut scratch);
                 }
-                if p.embeddings.support_pruned(self.support, self.sigma, &mut scratch) < self.sigma {
+                let support = if mirrored {
+                    mirrored_min_image(&p.embeddings, &mut scratch)
+                } else {
+                    p.embeddings.support_pruned(self.support, self.sigma, &mut scratch)
+                };
+                if support < self.sigma {
                     rejected += 1;
                     return None;
                 }
@@ -1110,6 +1249,18 @@ impl<'a> DiamMine<'a> {
     fn finalize_reference(&self, by_key: HashMap<PathKey, PathPattern>) -> Vec<PathPattern> {
         self.finalize_exact(by_key.into_values().collect())
     }
+}
+
+/// The minimum image of a label-palindromic path's rows with each
+/// position's image joined to its mirror position's: the rows plus their
+/// reversals, measured as one store.
+fn mirrored_min_image(rows: &OccurrenceStore, scratch: &mut SupportScratch) -> usize {
+    let mut both = OccurrenceStore::with_capacity(rows.arity(), 2 * rows.len());
+    for occ in rows.iter() {
+        both.push_row(occ.transaction, occ.vertices);
+        both.push_row_reversed(occ.transaction, occ.vertices);
+    }
+    both.mni_support_with(scratch)
 }
 
 /// Largest `k` with `2^k <= l` (`l >= 1`).
@@ -1321,8 +1472,22 @@ mod tests {
         // each pentagon contributes one undirected C5 occurrence
         assert_eq!(c5.embeddings.len(), 2);
         assert_eq!(c5.support(SupportMeasure::DistinctVertexSets), 2);
+        // the length-2 join stores the same bytes as closing length-4 paths
+        let joined = m.cycles_from_level(&m.mine_exact(2), 2);
+        assert_eq!(joined.len(), 1);
+        assert_eq!((&joined[0].key, &joined[0].embeddings), (&c5.key, &c5.embeddings));
         // no C3 in this data
         assert!(m.frequent_cycles(1).is_empty());
+    }
+
+    #[test]
+    fn mirrored_images_count_both_ends_of_a_palindromic_path() {
+        // a single 0-0 edge is stored once, so its stored minimum image is
+        // 1; the reversal maps each end onto the other, so the exact one is 2
+        let g = LabeledGraph::from_unlabeled_edges(&[l(0), l(0)], [(0, 1)]).unwrap();
+        let m = DiamMine::new(MiningData::Single(&g), 2, SupportMeasure::MinimumImage);
+        assert!(m.frequent_edges().is_empty());
+        assert_eq!(m.mirrored().frequent_edges().len(), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::level_grow::{LevelGrow, Seed};
 use crate::result::{MiningResult, SkinnyPattern};
 use crate::stats::MiningStats;
 use skinny_graph::{GraphDatabase, LabeledGraph};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The SkinnyMine miner.
@@ -241,9 +240,10 @@ impl SkinnyMine {
     /// Stage I: mine the seeds for every admissible length — the frequent
     /// paths (canonical diameters), plus, when [`SkinnyMineConfig::cycle_seeds`]
     /// is set, the frequent minimal odd cycles `C_{2l+1}` that path growth
-    /// cannot reach.  `level1` optionally injects a pre-computed finalized
-    /// frequent-edges set (the incremental miner's maintained table) in place
-    /// of the data scan; the ladder above level 1 runs unchanged.
+    /// cannot reach ([`DiamMine::cycle_seeds_with_stats`]).  `level1`
+    /// optionally injects a pre-computed finalized frequent-edges set (the
+    /// incremental miner's maintained table) in place of the data scan; the
+    /// path ladder above level 1 runs unchanged.
     pub(crate) fn mine_seeds(
         &self,
         data: &MiningData<'_>,
@@ -264,27 +264,8 @@ impl SkinnyMine {
         }
         if self.config.cycle_seeds {
             let lengths: Vec<usize> = ranged.keys().copied().collect();
-            // a frequent C_{2l+1} implies frequent paths of length 2l, so
-            // when 2l lies inside the mined range and is absent there is no
-            // cycle either; only a bounded range can cut 2l off, and those
-            // missing even lengths are mined together over one shared
-            // doubling ladder
-            let missing: Vec<usize> = lengths
-                .iter()
-                .map(|&l| 2 * l)
-                .filter(|&n| !ranged.contains_key(&n) && hi.is_some_and(|h| n > h))
-                .collect();
-            let extra = if missing.is_empty() {
-                BTreeMap::new()
-            } else {
-                dm.mine_exact_many_with_stats(&missing, stats)
-            };
-            for l in lengths {
-                let paths_2l = ranged.get(&(2 * l)).or_else(|| extra.get(&(2 * l)));
-                if let Some(paths_2l) = paths_2l {
-                    seeds.extend(dm.cycles_from_paths(paths_2l, l).into_iter().map(Seed::Cycle));
-                }
-            }
+            let cycles = dm.cycle_seeds_with_stats(&ranged, &lengths, hi, stats);
+            seeds.extend(cycles.into_values().flatten().map(Seed::Cycle));
         }
         seeds
     }

@@ -161,9 +161,10 @@ impl MinimalPatternIndex {
     }
 
     /// Runs Stage I over the frozen snapshot: the frequent paths of every
-    /// length in range, plus the `C_{2l+1}` seeds derived from the stored
-    /// length-`2l` paths (lengths beyond the built range cannot be served —
-    /// documented on `request`).
+    /// length in range, plus the `C_{2l+1}` seeds for every `l` whose `2l`
+    /// lies in the built range, derived as direct mining derives them
+    /// (lengths beyond the built range cannot be served — documented on
+    /// `request`).
     #[allow(clippy::type_complexity)]
     fn stage_one(
         snapshot: &CsrSnapshot,
@@ -175,16 +176,9 @@ impl MinimalPatternIndex {
         let view = MiningData::Snapshot(snapshot);
         let dm = DiamMine::new(view, sigma, support).with_threads(threads);
         let by_length = dm.mine_range(1, max_len);
-        let mut cycles = BTreeMap::new();
-        for (&len, paths) in &by_length {
-            if len % 2 == 0 {
-                let l = len / 2;
-                let found = dm.cycles_from_paths(paths, l);
-                if !found.is_empty() {
-                    cycles.insert(l, found);
-                }
-            }
-        }
+        let lengths: Vec<usize> =
+            by_length.keys().copied().filter(|&l| by_length.contains_key(&(2 * l))).collect();
+        let cycles = dm.cycle_seeds_with_stats(&by_length, &lengths, max_len, &mut MiningStats::default());
         (by_length, cycles)
     }
 
@@ -263,10 +257,10 @@ impl MinimalPatternIndex {
     /// pool when `config.threads > 1`.  Every path returns exactly what a
     /// fresh sequential serve would.
     ///
-    /// Cycle seeds (`C_{2l+1}`) are pre-derived at build time from the
-    /// stored length-`2l` paths, so an index built with a bounded `max_len`
-    /// can only serve them for `2l <= max_len`; build with `max_len = None`
-    /// for full Definition-8 completeness at every length.
+    /// Cycle seeds (`C_{2l+1}`) are pre-derived at build time for the `l`
+    /// whose length-`2l` paths are in range, so an index built with a
+    /// bounded `max_len` can only serve them for `2l <= max_len`; build with
+    /// `max_len = None` for full Definition-8 completeness at every length.
     pub fn request(&self, config: &SkinnyMineConfig) -> MineResult<Arc<MiningResult>> {
         config.validate()?;
         if config.sigma < self.sigma {

@@ -7,7 +7,7 @@
 //! order, and both representations share one neighbor/edge iteration order.
 
 use skinny_datagen::{erdos_renyi, inject_patterns, skinny_pattern, ErConfig, SkinnyPatternConfig};
-use skinny_graph::{canonical_key, LabeledGraph};
+use skinny_graph::{canonical_key, LabeledGraph, SupportMeasure};
 use skinnymine::{
     Exploration, LengthConstraint, MiningResult, ReportMode, Representation, SkinnyMine, SkinnyMineConfig,
 };
@@ -122,5 +122,47 @@ fn transaction_setting_is_thread_invariant() {
                 "threads = {threads}, representation = {representation:?}"
             );
         }
+    }
+}
+
+/// Two disjoint copies each of a labeled pentagon and a labeled heptagon,
+/// each with a pendant vertex, so Stage I seeds C₅ (`l = 2`) and C₇
+/// (`l = 3`) clusters next to the path clusters.
+fn odd_cycle_graph() -> LabeledGraph {
+    let mut labels = Vec::new();
+    let mut edges = Vec::new();
+    for _ in 0..2 {
+        for cycle in [&[0u32, 1, 2, 3, 4][..], &[5, 6, 7, 8, 5, 6, 9]] {
+            let base = labels.len() as u32;
+            let m = cycle.len() as u32;
+            labels.extend(cycle.iter().map(|&x| skinny_graph::Label(x)));
+            edges.extend((0..m).map(|i| (base + i, base + (i + 1) % m)));
+            labels.push(skinny_graph::Label(10));
+            edges.push((base, base + m));
+        }
+    }
+    LabeledGraph::from_unlabeled_edges(&labels, edges).expect("valid fixture")
+}
+
+/// Covers both cycle-seed routes: the length-`2l` closing route
+/// (DistinctVertexSets) and the length-`l` join (MinimumImage).
+#[test]
+fn cycle_seeded_mining_is_thread_invariant() {
+    let graph = odd_cycle_graph();
+    for measure in [SupportMeasure::DistinctVertexSets, SupportMeasure::MinimumImage] {
+        let config = SkinnyMineConfig::new(2, 2, 2)
+            .with_length(LengthConstraint::Between(2, 3))
+            .with_support_measure(measure)
+            .with_report(ReportMode::All);
+        let result = SkinnyMine::new(config.clone()).mine(&graph).expect("mining succeeds");
+        for m in [5usize, 7] {
+            assert!(
+                result.patterns.iter().any(|p| p.vertex_count() == m
+                    && p.edge_count() == m
+                    && p.graph.vertices().all(|v| p.graph.degree(v) == 2)),
+                "the fixture must seed and report C{m} under {measure:?}"
+            );
+        }
+        assert_thread_invariant(config, &graph);
     }
 }
