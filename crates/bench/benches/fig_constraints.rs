@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skinny_datagen::{erdos_renyi, inject_patterns, skinny_pattern, ErConfig, SkinnyPatternConfig};
-use skinny_graph::{LabeledGraph, SupportMeasure};
+use skinny_graph::{CsrSnapshot, LabeledGraph, SupportMeasure};
 use skinnymine::{DiamMine, Exploration, MinimalPatternIndex, MiningData, ReportMode, SkinnyMineConfig};
 
 /// The Figure 16/17 style background: few labels so frequent paths abound.
@@ -25,13 +25,14 @@ fn fig18_graph() -> LabeledGraph {
 
 /// Figure 16: DiamMine runtime vs l.
 fn bench_diammine_vs_l(c: &mut Criterion) {
-    let graph = fig16_graph();
+    let snapshot = CsrSnapshot::from_graph(&fig16_graph());
     let mut group = c.benchmark_group("fig16_diammine_vs_l");
     group.sample_size(10);
     for &l in &[2usize, 4, 6, 8] {
         group.bench_with_input(BenchmarkId::new("diammine", l), &l, |b, &l| {
             b.iter(|| {
-                DiamMine::new(MiningData::Single(&graph), 2, SupportMeasure::DistinctVertexSets).mine_exact(l)
+                DiamMine::new(MiningData::Snapshot(&snapshot), 2, SupportMeasure::DistinctVertexSets)
+                    .mine_exact(l)
             })
         });
     }

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skinny_datagen::ScalabilitySetting;
-use skinny_graph::SupportMeasure;
+use skinny_graph::{CsrSnapshot, SupportMeasure};
 use skinnymine::{
     ConstraintCheckMode, DiamMine, Exploration, LengthConstraint, MiningData, ReportMode, SkinnyMine,
     SkinnyMineConfig,
@@ -29,9 +29,10 @@ fn bench_scalability(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("skinnymine_end_to_end", size), &graph, |b, g| {
             b.iter(|| SkinnyMine::new(config(ConstraintCheckMode::Fast)).mine(g).expect("mining succeeds"))
         });
-        group.bench_with_input(BenchmarkId::new("stage1_diammine_only", size), &graph, |b, g| {
+        let snapshot = CsrSnapshot::from_graph(&graph);
+        group.bench_with_input(BenchmarkId::new("stage1_diammine_only", size), &snapshot, |b, s| {
             b.iter(|| {
-                DiamMine::new(MiningData::Single(g), 2, SupportMeasure::DistinctVertexSets).mine_exact(4)
+                DiamMine::new(MiningData::Snapshot(s), 2, SupportMeasure::DistinctVertexSets).mine_exact(4)
             })
         });
     }

@@ -530,7 +530,7 @@ fn fig16_graph(scale: Scale) -> LabeledGraph {
 /// Runs Figure 16: DiamMine runtime and number of frequent paths as the
 /// requested diameter length l grows from 2 to 18.
 pub fn run_diammine_vs_l(scale: Scale) -> ConstraintSweepReport {
-    let graph = fig16_graph(scale);
+    let snapshot = skinny_graph::CsrSnapshot::from_graph(&fig16_graph(scale));
     let mut runtime = Series::new("DiamMine runtime (s)");
     let mut patterns = Series::new("# canonical diameters");
     let mut largest = Series::new("longest path length");
@@ -538,7 +538,7 @@ pub fn run_diammine_vs_l(scale: Scale) -> ConstraintSweepReport {
     for &l in &parameter {
         let started = Instant::now();
         let dm = skinnymine::DiamMine::new(
-            skinnymine::MiningData::Single(&graph),
+            skinnymine::MiningData::Snapshot(&snapshot),
             2,
             SupportMeasure::MinimumImage,
         );

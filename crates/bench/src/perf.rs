@@ -352,7 +352,7 @@ pub fn run_stage1_perf(scale: Scale, threads: usize, xl_scale: usize) -> Stage1B
     let graph = skinny_datagen::erdos_renyi(&skinny_datagen::ErConfig::new(vertices, 3.0, 10, scale.seed));
     let snapshot = skinny_graph::CsrSnapshot::from_graph(&graph);
     let data = MiningData::Snapshot(&snapshot);
-    let dm = DiamMine::new(data.clone(), sigma, SupportMeasure::MinimumImage).with_threads(threads);
+    let dm = DiamMine::new(data, sigma, SupportMeasure::MinimumImage).with_threads(threads);
 
     let mut phases = Vec::new();
     let mut phase = |name: &str, seconds: f64, paths: &[PathPattern]| {
@@ -529,7 +529,7 @@ pub fn run_stage1_perf(scale: Scale, threads: usize, xl_scale: usize) -> Stage1B
     let mut ladder_scaling = Vec::new();
     let mut ladder_serial = None;
     for &t in &[1usize, 2, 8] {
-        let dm_t = DiamMine::new(data.clone(), sigma, SupportMeasure::MinimumImage).with_threads(t);
+        let dm_t = DiamMine::new(data, sigma, SupportMeasure::MinimumImage).with_threads(t);
         let (ladder_seconds, ranged) = time_best(|| dm_t.mine_range(1, Some(6)));
         match &ladder_serial {
             None => ladder_serial = Some(ranged),
@@ -869,7 +869,7 @@ fn best_grow_run(config: &SkinnyMineConfig, data: &MiningData<'_>) -> (f64, Mini
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..REPS {
-        let result = SkinnyMine::new(config.clone()).mine_data(data.clone()).expect("valid config");
+        let result = SkinnyMine::new(config.clone()).mine_data(*data).expect("valid config");
         let seconds = result.stats.level_grow.duration.as_secs_f64();
         if seconds < best {
             best = seconds;

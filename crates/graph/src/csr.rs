@@ -16,8 +16,8 @@
 //! downstream pass — seed enumeration, occurrence joins, index serving — is a
 //! flat columnar sweep over it.  Both structures preserve the adjacency
 //! list's deterministic orders: neighbors ascend by id, and each triple
-//! bucket lists its edges in the global `(u asc, v asc)` scan order, so
-//! mining output is byte-identical to the adjacency-list path.
+//! bucket lists its edges in the global `(u asc, v asc)` scan order, so a
+//! sweep over the snapshot visits the data in the adjacency list's order.
 //!
 //! Construction itself is a **one-pass counting-sort build**
 //! ([`SnapshotBuilder`]): the label partition and the triple index are laid

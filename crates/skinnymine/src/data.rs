@@ -1,5 +1,4 @@
-//! A unified view over the two mining settings and the two data
-//! representations.
+//! The data being mined, in the one form every mining pass sweeps.
 //!
 //! The paper defines the problem in the single-graph setting and notes that
 //! "the corresponding version for graph transaction setting can be easily
@@ -7,84 +6,48 @@
 //! data as a list of transaction graphs (a single graph is a one-transaction
 //! database), and embeddings always carry their transaction index.
 //!
-//! Orthogonally, each transaction can be served from the adjacency-list form
-//! ([`LabeledGraph`]) or from an immutable columnar snapshot
-//! ([`skinny_graph::CsrSnapshot`]); [`MiningData::view`] hands out a
-//! [`GraphRef`] either way, and all mining passes go through it — output is
-//! byte-identical across the representations.
+//! The transactions are the per-transaction CSR graphs of a frozen
+//! [`CsrSnapshot`] (built with [`CsrSnapshot::from_graph`] or
+//! [`CsrSnapshot::from_database`]); [`MiningData::view`] hands out a
+//! [`CsrGraph`], so the hot loops call its columnar accessors directly.
 
-use skinny_graph::{
-    CsrSnapshot, GraphDatabase, GraphRef, GraphView, Label, LabeledGraph, Neighbors, VertexId,
-};
-use std::borrow::Cow;
+use skinny_graph::{CsrGraph, CsrSnapshot};
 
-/// The data being mined: a single large graph or a transaction database, in
-/// either representation.
-#[derive(Debug, Clone)]
+/// The data being mined: a single large graph or a transaction database,
+/// frozen into per-transaction CSR snapshots.
+#[derive(Debug, Clone, Copy)]
 pub enum MiningData<'a> {
-    /// Single-graph setting (the paper's Definition 8), adjacency-list form.
-    Single(&'a LabeledGraph),
-    /// Graph-transaction setting (Figures 9–10), adjacency-list form.
-    Transactions(&'a GraphDatabase),
-    /// Either setting, frozen into per-transaction CSR snapshots.
+    /// Either setting; the snapshot remembers which one it was frozen from.
     Snapshot(&'a CsrSnapshot),
 }
 
 impl<'a> MiningData<'a> {
-    /// Number of transactions (1 in the single-graph setting).
-    pub fn transaction_count(&self) -> usize {
-        match self {
-            MiningData::Single(_) => 1,
-            MiningData::Transactions(db) => db.len(),
-            MiningData::Snapshot(s) => s.len(),
-        }
+    /// The underlying snapshot.
+    #[inline]
+    fn snapshot(self) -> &'a CsrSnapshot {
+        let MiningData::Snapshot(s) = self;
+        s
     }
 
-    /// A [`GraphRef`] onto the graph of transaction `t`.
+    /// Number of transactions (1 in the single-graph setting).
+    pub fn transaction_count(&self) -> usize {
+        self.snapshot().len()
+    }
+
+    /// The CSR graph of transaction `t`.
     ///
     /// # Panics
     /// Panics when `t` is out of range; all transaction indices produced by
     /// this type are valid.
     #[inline]
-    pub fn view(&self, t: usize) -> GraphRef<'a> {
-        match self {
-            MiningData::Single(g) => {
-                debug_assert_eq!(t, 0, "single-graph setting has only transaction 0");
-                GraphRef::Adjacency(g)
-            }
-            MiningData::Transactions(db) => GraphRef::Adjacency(&db[t]),
-            MiningData::Snapshot(s) => GraphRef::Csr(s.graph(t)),
-        }
+    pub fn view(&self, t: usize) -> &'a CsrGraph {
+        self.snapshot().graph(t)
     }
 
-    /// Iterates over `(transaction index, graph view)` pairs.
-    pub fn transactions(&self) -> TransactionIter<'a> {
-        match self {
-            MiningData::Single(g) => TransactionIter::Single(Some(g)),
-            MiningData::Transactions(db) => TransactionIter::Database { db, next: 0 },
-            MiningData::Snapshot(s) => TransactionIter::Snapshot { snapshot: s, next: 0 },
-        }
-    }
-
-    /// Freezes this data into per-transaction CSR snapshots.
-    ///
-    /// When the data already **is** a snapshot this is a cheap borrow — no
-    /// rebuild, no clone; call `.into_owned()` only when an owned snapshot
-    /// is genuinely required.
-    pub fn to_snapshot(&self) -> Cow<'a, CsrSnapshot> {
-        self.to_snapshot_with_threads(1)
-    }
-
-    /// [`MiningData::to_snapshot`] with the database setting frozen
-    /// per-shard on `threads` pool workers
-    /// ([`CsrSnapshot::from_database_with_threads`]); the result is
-    /// byte-identical for every thread count.
-    pub fn to_snapshot_with_threads(&self, threads: usize) -> Cow<'a, CsrSnapshot> {
-        match self {
-            MiningData::Single(g) => Cow::Owned(CsrSnapshot::from_graph(g)),
-            MiningData::Transactions(db) => Cow::Owned(CsrSnapshot::from_database_with_threads(db, threads)),
-            MiningData::Snapshot(s) => Cow::Borrowed(*s),
-        }
+    /// Iterates over `(transaction index, graph)` pairs.
+    pub fn transactions(&self) -> impl ExactSizeIterator<Item = (usize, &'a CsrGraph)> {
+        let data = *self;
+        (0..data.transaction_count()).map(move |t| (t, data.view(t)))
     }
 
     /// Total number of vertices across transactions.
@@ -92,135 +55,16 @@ impl<'a> MiningData<'a> {
         self.transactions().map(|(_, g)| g.vertex_count()).sum()
     }
 
-    /// Total number of edges across transactions.
-    pub fn total_edges(&self) -> usize {
-        self.transactions().map(|(_, g)| g.edge_count()).sum()
-    }
-
     /// True when there is no vertex at all.
     pub fn is_empty(&self) -> bool {
         self.total_vertices() == 0
-    }
-
-    /// Label of vertex `v` in transaction `t`.
-    #[inline]
-    pub fn label(&self, t: usize, v: VertexId) -> Label {
-        self.view(t).label(v)
-    }
-
-    /// Neighbors of `v` in transaction `t`.
-    #[inline]
-    pub fn neighbors(&self, t: usize, v: VertexId) -> Neighbors<'a> {
-        self.view(t).neighbors(v)
-    }
-
-    /// True if edge `(u, v)` exists in transaction `t`.
-    #[inline]
-    pub fn has_edge(&self, t: usize, u: VertexId, v: VertexId) -> bool {
-        self.view(t).has_edge(u, v)
-    }
-
-    /// Label of edge `(u, v)` in transaction `t`, if present.
-    #[inline]
-    pub fn edge_label(&self, t: usize, u: VertexId, v: VertexId) -> Option<Label> {
-        self.view(t).edge_label(u, v)
-    }
-
-    /// True when the mining setting is the transaction setting.  The answer
-    /// is representation-independent: a snapshot remembers which setting it
-    /// was frozen from.
-    pub fn is_transactional(&self) -> bool {
-        match self {
-            MiningData::Single(_) => false,
-            MiningData::Transactions(_) => true,
-            MiningData::Snapshot(s) => s.is_transactional(),
-        }
-    }
-}
-
-/// Concrete iterator behind [`MiningData::transactions`] — a small enum
-/// instead of a boxed trait object, since this sits on the per-request hot
-/// path of the minimal-pattern index.
-#[derive(Debug, Clone)]
-pub enum TransactionIter<'a> {
-    /// Single-graph setting: yields transaction 0 once.
-    Single(Option<&'a LabeledGraph>),
-    /// Database setting: walks the transactions in order.
-    Database {
-        /// The underlying database.
-        db: &'a GraphDatabase,
-        /// Next transaction index.
-        next: usize,
-    },
-    /// Snapshot-backed: walks the per-transaction CSR graphs in order.
-    Snapshot {
-        /// The underlying snapshot.
-        snapshot: &'a CsrSnapshot,
-        /// Next transaction index.
-        next: usize,
-    },
-}
-
-impl<'a> Iterator for TransactionIter<'a> {
-    type Item = (usize, GraphRef<'a>);
-
-    fn next(&mut self) -> Option<(usize, GraphRef<'a>)> {
-        match self {
-            TransactionIter::Single(slot) => slot.take().map(|g| (0, GraphRef::Adjacency(g))),
-            TransactionIter::Database { db, next } => {
-                if *next < db.len() {
-                    let t = *next;
-                    *next = t + 1;
-                    Some((t, GraphRef::Adjacency(&db[t])))
-                } else {
-                    None
-                }
-            }
-            TransactionIter::Snapshot { snapshot, next } => {
-                if *next < snapshot.len() {
-                    let t = *next;
-                    *next = t + 1;
-                    Some((t, GraphRef::Csr(snapshot.graph(t))))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            TransactionIter::Single(slot) => slot.is_some() as usize,
-            TransactionIter::Database { db, next } => db.len() - next,
-            TransactionIter::Snapshot { snapshot, next } => snapshot.len() - next,
-        };
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for TransactionIter<'_> {}
-
-impl<'a> From<&'a LabeledGraph> for MiningData<'a> {
-    fn from(g: &'a LabeledGraph) -> Self {
-        MiningData::Single(g)
-    }
-}
-
-impl<'a> From<&'a GraphDatabase> for MiningData<'a> {
-    fn from(db: &'a GraphDatabase) -> Self {
-        MiningData::Transactions(db)
-    }
-}
-
-impl<'a> From<&'a CsrSnapshot> for MiningData<'a> {
-    fn from(s: &'a CsrSnapshot) -> Self {
-        MiningData::Snapshot(s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skinny_graph::{GraphDatabase, Label, LabeledGraph};
 
     fn graph() -> LabeledGraph {
         LabeledGraph::from_unlabeled_edges(&[Label(0), Label(1), Label(0)], [(0, 1), (1, 2)]).unwrap()
@@ -229,74 +73,35 @@ mod tests {
     #[test]
     fn single_graph_view() {
         let g = graph();
-        let data: MiningData<'_> = (&g).into();
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data = MiningData::Snapshot(&snapshot);
         assert_eq!(data.transaction_count(), 1);
-        assert!(!data.is_transactional());
         assert_eq!(data.total_vertices(), 3);
-        assert_eq!(data.total_edges(), 2);
-        assert_eq!(data.label(0, VertexId(1)), Label(1));
-        assert!(data.has_edge(0, VertexId(0), VertexId(1)));
-        assert_eq!(data.edge_label(0, VertexId(0), VertexId(1)), Some(Label(0)));
-        assert_eq!(data.neighbors(0, VertexId(1)).count(), 2);
+        assert!(data.view(0).parity_with(&g));
         assert!(!data.is_empty());
     }
 
     #[test]
     fn transaction_view() {
-        let db = GraphDatabase::from_graphs(vec![graph(), graph()]);
-        let data: MiningData<'_> = (&db).into();
-        assert_eq!(data.transaction_count(), 2);
-        assert!(data.is_transactional());
-        assert_eq!(data.total_vertices(), 6);
-        let ids: Vec<usize> = data.transactions().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![0, 1]);
-        assert_eq!(skinny_graph::GraphView::vertex_count(&data.view(1)), 3);
-    }
-
-    #[test]
-    fn snapshot_view_answers_identically() {
-        let g = graph();
-        let adjacency: MiningData<'_> = (&g).into();
-        let snapshot = adjacency.to_snapshot();
-        let data: MiningData<'_> = snapshot.as_ref().into();
-        assert_eq!(data.transaction_count(), 1);
-        assert!(!data.is_transactional());
-        assert_eq!(data.total_vertices(), 3);
-        assert_eq!(data.total_edges(), 2);
-        assert_eq!(data.label(0, VertexId(1)), Label(1));
-        assert!(data.has_edge(0, VertexId(0), VertexId(1)));
-        assert_eq!(data.edge_label(0, VertexId(1), VertexId(2)), Some(Label(0)));
-        let ns: Vec<_> = data.neighbors(0, VertexId(1)).collect();
-        let ns_adj: Vec<_> = adjacency.neighbors(0, VertexId(1)).collect();
-        assert_eq!(ns, ns_adj);
-        // re-snapshotting a snapshot is a borrow of the existing snapshot,
-        // not a rebuild
-        let again = data.to_snapshot();
-        assert!(matches!(again, Cow::Borrowed(_)));
-        assert!(std::ptr::eq(again.as_ref(), &*snapshot));
-        assert_eq!(again.as_ref(), &*snapshot);
-    }
-
-    #[test]
-    fn transaction_iter_is_exact_size() {
         let db = GraphDatabase::from_graphs(vec![graph(), graph(), graph()]);
-        let data: MiningData<'_> = (&db).into();
+        let snapshot = CsrSnapshot::from_database(&db);
+        let data = MiningData::Snapshot(&snapshot);
+        assert_eq!(data.transaction_count(), 3);
+        assert_eq!(data.total_vertices(), 9);
         let mut it = data.transactions();
         assert_eq!(it.len(), 3);
         it.next();
         assert_eq!(it.len(), 2);
-        let snapshot = data.to_snapshot();
-        let snap_data: MiningData<'_> = snapshot.as_ref().into();
-        assert_eq!(snap_data.transactions().len(), 3);
-        assert!(snap_data.is_transactional());
-        // a parallel freeze of the database setting is byte-identical
-        assert_eq!(data.to_snapshot_with_threads(2).as_ref(), snapshot.as_ref());
+        let ids: Vec<usize> = data.transactions().map(|(i, _)| i).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(data.view(1).vertex_count(), 3);
+        assert!(std::ptr::eq(data.snapshot(), &snapshot));
     }
 
     #[test]
     fn empty_database_is_empty() {
-        let db = GraphDatabase::new();
-        let data: MiningData<'_> = (&db).into();
+        let snapshot = CsrSnapshot::from_database(&GraphDatabase::new());
+        let data = MiningData::Snapshot(&snapshot);
         assert!(data.is_empty());
         assert_eq!(data.transaction_count(), 0);
     }

@@ -16,11 +16,10 @@
 //! All joins run at the occurrence (embedding) level, so no subgraph
 //! isomorphism search is ever needed — this is what makes the stage "direct".
 //!
-//! On CSR-backed data ([`MiningData::Snapshot`]) the seed step walks the
-//! snapshot's `(label, edge label, label)` triple index instead of scanning
-//! every edge, and the occurrence joins read both orientations of every
-//! stored path straight out of a flat columnar arena without
-//! cloning vertex vectors.
+//! The seed step walks each transaction snapshot's `(label, edge label,
+//! label)` triple index instead of scanning every edge, and the occurrence
+//! joins read both orientations of every stored path straight out of a flat
+//! columnar arena without cloning vertex vectors.
 //!
 //! Beyond paths, [`DiamMine::cycle_seeds_with_stats`] seeds the frequent odd
 //! cycles `C_{2l+1}` — the minimal *non-path* constraint-satisfying patterns
@@ -66,8 +65,8 @@ use crate::level_grow::phase_ticks;
 use crate::path_pattern::{PathKey, PathPattern, PatternTable};
 use crate::stats::{JoinPhaseStats, MiningStats};
 use skinny_graph::{
-    all_distinct_marked, disjoint_except_shared_marked, GraphView, JoinScratch, Label, OccurrenceStore,
-    PrefixIndex, SupportMeasure, SupportScratch, VertexId,
+    all_distinct_marked, disjoint_except_shared_marked, JoinScratch, Label, OccurrenceStore, PrefixIndex,
+    SupportMeasure, SupportScratch, VertexId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -290,8 +289,8 @@ fn push_directed_labels(
 ///
 /// A stored row's labels equal its pattern's canonical key read in the
 /// row's direction (palindromic keys read the same both ways), so the memo
-/// value is exactly what per-product `canonical_labels_into` + `slot_for`
-/// would have produced — emission order is unchanged.
+/// value is exactly what per-product `PathPattern::key_of_occurrence` +
+/// `slot_for` would have produced — emission order is unchanged.
 #[inline]
 #[allow(clippy::too_many_arguments)] // a free fn on the join hot path; the args are the join row
 fn intern_product(
@@ -387,7 +386,7 @@ impl<'a> DiamMine<'a> {
     /// stored support.
     fn mirrored(&self) -> DiamMine<'a> {
         DiamMine {
-            data: self.data.clone(),
+            data: self.data,
             sigma: self.sigma,
             support: self.support,
             threads: self.threads,
@@ -399,9 +398,8 @@ impl<'a> DiamMine<'a> {
     /// All frequent paths of length exactly 1 (frequent edges) — the seed set
     /// `S_0` of Algorithm 2.
     ///
-    /// On snapshot-backed data this walks the CSR edge-triple index (one
-    /// bucket per candidate path key); on adjacency-backed data it scans the
-    /// edges once.  Both produce byte-identical patterns.
+    /// This walks the CSR edge-triple index, one bucket per candidate path
+    /// key, instead of scanning every edge.
     ///
     /// With more than `MIN_PARALLEL_TXNS` transactions and `threads > 1`
     /// the transaction walk is sharded across pool workers: each chunk
@@ -435,17 +433,15 @@ impl<'a> DiamMine<'a> {
         let txns = self.data.transaction_count();
         if self.threads <= 1 || txns < MIN_PARALLEL_TXNS {
             let mut table = PatternTable::new();
-            let mut scratch = JoinScratch::new();
-            self.seed_transactions(0..txns, &mut table, &mut scratch);
+            self.seed_transactions(0..txns, &mut table);
             table
         } else {
             let ranges = skinny_pool::chunk_ranges(txns, self.threads, 4);
-            let partials =
-                skinny_pool::run_with(self.threads, ranges.len(), JoinScratch::new, |scratch, c| {
-                    let mut local = PatternTable::new();
-                    self.seed_transactions(ranges[c].clone(), &mut local, scratch);
-                    local
-                });
+            let partials = skinny_pool::run_indexed(self.threads, ranges.len(), |c| {
+                let mut local = PatternTable::new();
+                self.seed_transactions(ranges[c].clone(), &mut local);
+                local
+            });
             let mut merged = PatternTable::new();
             for partial in partials {
                 merged.merge(partial);
@@ -457,75 +453,16 @@ impl<'a> DiamMine<'a> {
     /// Seed enumeration over one contiguous transaction shard, accumulating
     /// into `table` — the per-task body of [`DiamMine::frequent_edges`], and
     /// the incremental miner's per-dirty-transaction re-seed (`t..t + 1`).
-    pub(crate) fn seed_transactions(
-        &self,
-        range: std::ops::Range<usize>,
-        table: &mut PatternTable,
-        scratch: &mut JoinScratch,
-    ) {
+    /// Each transaction's `(label, edge label, label)` triple index is walked
+    /// bucket by bucket, so no edge is visited outside its own triple.
+    pub(crate) fn seed_transactions(&self, range: std::ops::Range<usize>, table: &mut PatternTable) {
         for t in range {
-            let view = self.data.view(t);
-            if let Some(csr) = view.as_csr() {
-                for ((la, el, lb), bucket) in csr.edge_triples() {
-                    let pattern = table.slot_for(&[la, lb], &[el]);
-                    for &(u, v) in bucket {
-                        pattern.add_occurrence_slice(t, &[u, v], false);
-                    }
-                }
-            } else {
-                for e in view.edges() {
-                    let occ = [e.u, e.v];
-                    let reversed = PathPattern::canonical_labels_into(
-                        &view,
-                        &occ,
-                        &mut scratch.vertex_labels,
-                        &mut scratch.edge_labels,
-                    );
-                    table
-                        .slot_for(&scratch.vertex_labels, &scratch.edge_labels)
-                        .add_occurrence_slice(t, &occ, reversed);
-                }
-            }
-        }
-    }
-
-    /// The frequent length-1 path of one specific `(label, edge label,
-    /// label)` triple, together with the number of edge records visited to
-    /// enumerate it.
-    ///
-    /// On snapshot-backed data this walks exactly the triple's index bucket
-    /// (visit count = occurrences of the triple); on adjacency-backed data it
-    /// has to scan every edge of every transaction (visit count = total edge
-    /// count).  The visit counts are asserted by the index-walk regression
-    /// test — Stage-I seed enumeration must not fall back to a full edge scan
-    /// per label triple.
-    pub fn frequent_edges_for_triple(&self, la: Label, el: Label, lb: Label) -> (Option<PathPattern>, u64) {
-        let (key, _) = PathKey::canonical(vec![la, lb], vec![el]);
-        let mut pattern = PathPattern::new(key.clone());
-        let mut visited = 0u64;
-        for (t, view) in self.data.transactions() {
-            if let Some(csr) = view.as_csr() {
-                let bucket = csr.triple_edges(la, el, lb);
-                visited += bucket.len() as u64;
+            for ((la, el, lb), bucket) in self.data.view(t).edge_triples() {
+                let pattern = table.slot_for(&[la, lb], &[el]);
                 for &(u, v) in bucket {
-                    pattern.add_occurrence(t, vec![u, v], false);
-                }
-            } else {
-                for e in view.edges() {
-                    visited += 1;
-                    let occ = vec![e.u, e.v];
-                    let (occ_key, reversed) = PathPattern::key_of_occurrence(&view, &occ);
-                    if occ_key == key {
-                        pattern.add_occurrence(t, occ, reversed);
-                    }
+                    pattern.add_occurrence_slice(t, &[u, v], false);
                 }
             }
-        }
-        pattern.dedup();
-        if pattern.support(self.support) >= self.sigma {
-            (Some(pattern), visited)
-        } else {
-            (None, visited)
         }
     }
 
@@ -745,7 +682,7 @@ impl<'a> DiamMine<'a> {
                 let mut combined = a.to_vec();
                 combined.extend_from_slice(&b[1..]);
                 let view = self.data.view(t);
-                let (key, reversed) = PathPattern::key_of_occurrence(&view, &combined);
+                let (key, reversed) = PathPattern::key_of_occurrence(view, &combined);
                 by_key
                     .entry(key.clone())
                     .or_insert_with(|| PathPattern::new(key))
@@ -786,7 +723,7 @@ impl<'a> DiamMine<'a> {
                     continue;
                 }
                 let view = self.data.view(t);
-                let (key, reversed) = PathPattern::key_of_occurrence(&view, &combined);
+                let (key, reversed) = PathPattern::key_of_occurrence(view, &combined);
                 by_key
                     .entry(key.clone())
                     .or_insert_with(|| PathPattern::new(key))
@@ -1079,7 +1016,7 @@ impl<'a> DiamMine<'a> {
                 scratch.row.extend(a.iter().rev());
                 scratch.row.extend_from_slice(&b[1..]);
                 if all_distinct_marked(&scratch.row, &mut scratch.marks) {
-                    table.push(&view, t, &scratch.row, closing);
+                    table.push(view, t, &scratch.row, closing);
                 }
             }
         }
@@ -1101,7 +1038,7 @@ impl<'a> DiamMine<'a> {
                 let head = occ.vertices[0];
                 let tail = *occ.vertices.last().expect("path occurrence is nonempty");
                 if let Some(closing) = view.edge_label(head, tail) {
-                    table.push(&view, t, occ.vertices, closing);
+                    table.push(view, t, occ.vertices, closing);
                 }
             }
         }
@@ -1310,8 +1247,8 @@ mod tests {
         .unwrap()
     }
 
-    fn miner(g: &LabeledGraph, sigma: usize) -> DiamMine<'_> {
-        DiamMine::new(MiningData::Single(g), sigma, SupportMeasure::DistinctVertexSets)
+    fn miner(g: &CsrSnapshot, sigma: usize) -> DiamMine<'_> {
+        DiamMine::new(MiningData::Snapshot(g), sigma, SupportMeasure::DistinctVertexSets)
     }
 
     #[test]
@@ -1326,7 +1263,7 @@ mod tests {
 
     #[test]
     fn frequent_edges_found_with_support() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let edges = miner(&g, 2).frequent_edges();
         // edge patterns: (0,1), (1,2), (2,3), (3,4) each with 2 occurrences
         assert_eq!(edges.len(), 4);
@@ -1339,45 +1276,39 @@ mod tests {
     }
 
     #[test]
-    fn csr_seed_walk_matches_edge_scan() {
-        let g = two_path_copies();
-        let snapshot = CsrSnapshot::from_graph(&g);
-        let adj = miner(&g, 2).frequent_edges();
-        let csr = DiamMine::new(MiningData::Snapshot(&snapshot), 2, SupportMeasure::DistinctVertexSets)
-            .frequent_edges();
-        assert_eq!(adj.len(), csr.len());
-        for (a, c) in adj.iter().zip(&csr) {
-            assert_eq!(a.key, c.key);
-            assert_eq!(a.embeddings, c.embeddings, "occurrence stores must be byte-identical");
+    fn seed_walk_matches_edge_scan() {
+        // the triple-bucket walk stores every edge exactly as a full edge
+        // scan with per-edge canonical keys would, orientation included
+        for g in [
+            two_path_copies(),
+            LabeledGraph::from_unlabeled_edges(
+                &[l(0), l(1), l(0), l(1)],
+                [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+            )
+            .unwrap(),
+        ] {
+            let mut scanned: BTreeMap<PathKey, PathPattern> = BTreeMap::new();
+            for e in g.edges() {
+                let occ = vec![e.u, e.v];
+                let (key, reversed) = PathPattern::key_of_occurrence(&g, &occ);
+                scanned
+                    .entry(key.clone())
+                    .or_insert_with(|| PathPattern::new(key))
+                    .add_occurrence(0, occ, reversed);
+            }
+            let walked = miner(&CsrSnapshot::from_graph(&g), 1).frequent_edges();
+            assert_eq!(walked.len(), scanned.len());
+            for (w, (key, mut p)) in walked.iter().zip(scanned) {
+                p.dedup();
+                assert_eq!(w.key, key);
+                assert_eq!(w.embeddings, p.embeddings, "occurrence stores must be byte-identical");
+            }
         }
     }
 
     #[test]
-    fn triple_seed_walk_visits_only_its_bucket() {
-        let g = two_path_copies();
-        let snapshot = CsrSnapshot::from_graph(&g);
-        let csr_miner = DiamMine::new(MiningData::Snapshot(&snapshot), 2, SupportMeasure::DistinctVertexSets);
-        let adj_miner = miner(&g, 2);
-        let (p_csr, visited_csr) = csr_miner.frequent_edges_for_triple(l(0), Label::DEFAULT_EDGE, l(1));
-        let (p_adj, visited_adj) = adj_miner.frequent_edges_for_triple(l(0), Label::DEFAULT_EDGE, l(1));
-        let p_csr = p_csr.expect("a-b edge is frequent");
-        let p_adj = p_adj.expect("a-b edge is frequent");
-        assert_eq!(p_csr.key, p_adj.key);
-        assert_eq!(p_csr.embeddings, p_adj.embeddings);
-        // the index walk visits exactly the triple's 2 edges; the adjacency
-        // path has no choice but to scan all 8 — this is the regression guard
-        // against reintroducing a full edge scan per label triple
-        assert_eq!(visited_csr, 2);
-        assert_eq!(visited_adj, g.edge_count() as u64);
-        // an absent triple costs zero index-walk work on CSR
-        let (none, visited_none) = csr_miner.frequent_edges_for_triple(l(0), l(9), l(1));
-        assert!(none.is_none());
-        assert_eq!(visited_none, 0);
-    }
-
-    #[test]
     fn concat_doubles_length() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let m = miner(&g, 2);
         let len1 = m.frequent_edges();
         let len2 = m.concat_double(&len1);
@@ -1396,7 +1327,7 @@ mod tests {
 
     #[test]
     fn mine_exact_power_of_two() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let paths = miner(&g, 2).mine_exact(4);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 4);
@@ -1405,7 +1336,7 @@ mod tests {
 
     #[test]
     fn mine_exact_non_power_of_two_uses_merge() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let m = miner(&g, 2);
         // length 3 = merge of two length-2 paths overlapping in 1 edge
         let paths = m.mine_exact(3);
@@ -1419,7 +1350,7 @@ mod tests {
 
     #[test]
     fn mine_exact_length_one_and_zero() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let m = miner(&g, 2);
         assert_eq!(m.mine_exact(1).len(), 4);
         assert!(m.mine_exact(0).is_empty());
@@ -1427,7 +1358,7 @@ mod tests {
 
     #[test]
     fn mine_exact_longer_than_any_path_is_empty() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         assert!(miner(&g, 2).mine_exact(5).is_empty());
         assert!(miner(&g, 2).mine_exact(9).is_empty());
     }
@@ -1437,9 +1368,10 @@ mod tests {
         // a 6-cycle with all-equal labels: every path of length 3 is an
         // occurrence of the single all-zero label path pattern; there are 6
         // undirected paths of length 3 (one per starting edge... exactly 6).
-        let g =
-            LabeledGraph::from_unlabeled_edges(&[l(0); 6], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-                .unwrap();
+        let g = CsrSnapshot::from_graph(
+            &LabeledGraph::from_unlabeled_edges(&[l(0); 6], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+                .unwrap(),
+        );
         let m = miner(&g, 1);
         let len3 = m.mine_exact(3);
         assert_eq!(len3.len(), 1);
@@ -1463,7 +1395,7 @@ mod tests {
                 edges.push((base + i, base + (i + 1) % 5));
             }
         }
-        let g = LabeledGraph::from_unlabeled_edges(&[l(0); 10], edges).unwrap();
+        let g = CsrSnapshot::from_graph(&LabeledGraph::from_unlabeled_edges(&[l(0); 10], edges).unwrap());
         let m = miner(&g, 2);
         let cycles = m.frequent_cycles(2);
         assert_eq!(cycles.len(), 1);
@@ -1484,15 +1416,16 @@ mod tests {
     fn mirrored_images_count_both_ends_of_a_palindromic_path() {
         // a single 0-0 edge is stored once, so its stored minimum image is
         // 1; the reversal maps each end onto the other, so the exact one is 2
-        let g = LabeledGraph::from_unlabeled_edges(&[l(0), l(0)], [(0, 1)]).unwrap();
-        let m = DiamMine::new(MiningData::Single(&g), 2, SupportMeasure::MinimumImage);
+        let g =
+            CsrSnapshot::from_graph(&LabeledGraph::from_unlabeled_edges(&[l(0), l(0)], [(0, 1)]).unwrap());
+        let m = DiamMine::new(MiningData::Snapshot(&g), 2, SupportMeasure::MinimumImage);
         assert!(m.frequent_edges().is_empty());
         assert_eq!(m.mirrored().frequent_edges().len(), 1);
     }
 
     #[test]
     fn mine_range_stops_when_exhausted() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let m = miner(&g, 2);
         let ranged = m.mine_range(2, None);
         let lengths: Vec<usize> = ranged.keys().copied().collect();
@@ -1511,6 +1444,7 @@ mod tests {
             LabeledGraph::from_unlabeled_edges(&[l(0); 6], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
                 .unwrap(),
         ] {
+            let g = CsrSnapshot::from_graph(&g);
             let m = miner(&g, 1);
             let len1 = m.frequent_edges();
             let len2 = m.concat_double(&len1);
@@ -1539,8 +1473,8 @@ mod tests {
         let t0 = LabeledGraph::from_unlabeled_edges(&[l(0), l(1), l(2)], [(0, 1), (1, 2)]).unwrap();
         let t1 = t0.clone();
         let t2 = LabeledGraph::from_unlabeled_edges(&[l(0), l(1)], [(0, 1)]).unwrap();
-        let db = GraphDatabase::from_graphs(vec![t0, t1, t2]);
-        let m = DiamMine::new(MiningData::Transactions(&db), 2, SupportMeasure::Transactions);
+        let db = CsrSnapshot::from_database(&GraphDatabase::from_graphs(vec![t0, t1, t2]));
+        let m = DiamMine::new(MiningData::Snapshot(&db), 2, SupportMeasure::Transactions);
         let edges = m.frequent_edges();
         // edge (0,1) appears in 3 transactions, edge (1,2) in 2
         assert_eq!(edges.len(), 2);
@@ -1551,7 +1485,7 @@ mod tests {
 
     #[test]
     fn level1_override_reproduces_the_full_ladder() {
-        let g = two_path_copies();
+        let g = CsrSnapshot::from_graph(&two_path_copies());
         let m = miner(&g, 2);
         // finalize(level1_table()) is exactly frequent_edges()
         let direct = m.frequent_edges();
@@ -1579,8 +1513,9 @@ mod tests {
     fn branching_structure_counts_all_simple_paths() {
         // star-ish: center 0 with neighbors 1,2,3 (all label 1, center label 0);
         // paths of length 2 through the center: {1,0,2}, {1,0,3}, {2,0,3}
-        let g =
-            LabeledGraph::from_unlabeled_edges(&[l(0), l(1), l(1), l(1)], [(0, 1), (0, 2), (0, 3)]).unwrap();
+        let g = CsrSnapshot::from_graph(
+            &LabeledGraph::from_unlabeled_edges(&[l(0), l(1), l(1), l(1)], [(0, 1), (0, 2), (0, 3)]).unwrap(),
+        );
         let m = miner(&g, 1);
         let len2 = m.mine_exact(2);
         assert_eq!(len2.len(), 1);

@@ -494,12 +494,12 @@ impl GrownPattern {
                     for &v in e.vertices {
                         row_marks.mark(v);
                     }
-                    let image = e.image(attach as usize);
-                    for (w, el) in data.neighbors(e.transaction, image) {
+                    let g = data.view(e.transaction);
+                    for (w, el) in g.neighbors_at(e.image(attach as usize)) {
                         if el != edge_label {
                             continue;
                         }
-                        if data.label(e.transaction, w) != vertex_label {
+                        if g.label(w) != vertex_label {
                             continue;
                         }
                         if row_marks.is_marked(w) {
@@ -520,20 +520,20 @@ impl GrownPattern {
                     for &v in e.vertices {
                         row_marks.mark(v);
                     }
-                    let image0 = e.image(a0 as usize);
-                    for (w, el) in data.neighbors(e.transaction, image0) {
+                    let g = data.view(e.transaction);
+                    for (w, el) in g.neighbors_at(e.image(a0 as usize)) {
                         if el != el0 {
                             continue;
                         }
-                        if data.label(e.transaction, w) != vertex_label {
+                        if g.label(w) != vertex_label {
                             continue;
                         }
                         if row_marks.is_marked(w) {
                             continue;
                         }
-                        let all_present = edges[1..].iter().all(|&(a, ell)| {
-                            data.edge_label(e.transaction, e.image(a as usize), w) == Some(ell)
-                        });
+                        let all_present = edges[1..]
+                            .iter()
+                            .all(|&(a, ell)| g.edge_label(e.image(a as usize), w) == Some(ell));
                         if all_present {
                             out.push_row_extended(e.transaction, e.vertices, w);
                         }
@@ -546,7 +546,7 @@ impl GrownPattern {
                 for e in self.embeddings.iter() {
                     let du = e.image(u as usize);
                     let dv = e.image(v as usize);
-                    if data.edge_label(e.transaction, du, dv) == Some(edge_label) {
+                    if data.view(e.transaction).edge_label(du, dv) == Some(edge_label) {
                         out.push_row(e.transaction, e.vertices);
                     }
                 }
@@ -617,6 +617,7 @@ mod tests {
     use super::*;
     use crate::data::MiningData;
     use crate::path_pattern::PathKey;
+    use skinny_graph::CsrSnapshot;
 
     fn l(x: u32) -> Label {
         Label(x)
@@ -662,7 +663,8 @@ mod tests {
     #[test]
     fn new_vertex_extension_updates_structure_and_embeddings() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data = MiningData::Snapshot(&snapshot);
         let p = seed_pattern(&g);
         let ext = Extension::NewVertex { attach: 1, vertex_label: l(9), edge_label: Label::DEFAULT_EDGE };
         let st = p.apply_structure(&ext);
@@ -686,7 +688,8 @@ mod tests {
     #[test]
     fn new_vertex_extension_with_absent_label_yields_no_embedding() {
         let g = data_graph();
-        let data = MiningData::Single(&g);
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data = MiningData::Snapshot(&snapshot);
         let p = seed_pattern(&g);
         let ext = Extension::NewVertex { attach: 2, vertex_label: l(9), edge_label: Label::DEFAULT_EDGE };
         // 'c' vertices have no label-9 neighbor
@@ -699,7 +702,8 @@ mod tests {
         // between diameter positions 0 and 2 keeps just that occurrence
         let mut g = data_graph();
         g.add_unlabeled_edge(VertexId(0), VertexId(2)).unwrap();
-        let data = MiningData::Single(&g);
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data = MiningData::Snapshot(&snapshot);
         let p = seed_pattern(&g);
         let ext = Extension::ClosingEdge { u: 0, v: 2, edge_label: Label::DEFAULT_EDGE };
         let em = p.extend_embeddings(&data, &ext);

@@ -684,9 +684,9 @@ impl<'a> LevelGrow<'a> {
             }
             attachments.clear();
             probe_marks.reset();
+            let g = self.data.view(e.transaction);
             for p in 0..n as u32 {
-                let image = e.image(p as usize);
-                for (w, el) in self.data.neighbors(e.transaction, image) {
+                for (w, el) in g.neighbors_at(e.image(p as usize)) {
                     match images.get(w) {
                         Some(q) => {
                             // a potential closing edge between pattern vertices p and q
@@ -703,7 +703,7 @@ impl<'a> LevelGrow<'a> {
                             if pattern.level[p as usize] >= delta {
                                 continue;
                             }
-                            let vertex_label = self.data.label(e.transaction, w);
+                            let vertex_label = g.label(w);
                             attachments.push((w, p, el));
                             // several same-labeled neighbors of one image
                             // re-derive the same descriptor; only the first
@@ -739,7 +739,7 @@ impl<'a> LevelGrow<'a> {
                 if k < 2 {
                     continue;
                 }
-                let vertex_label = self.data.label(e.transaction, w);
+                let vertex_label = g.label(w);
                 if k <= FULL_SUBSET_DEGREE {
                     for mask in 1u32..(1 << k) {
                         if mask.count_ones() < 2 {
@@ -829,7 +829,7 @@ mod tests {
     use super::*;
     use crate::config::{ConstraintCheckMode, SkinnyMineConfig};
     use crate::diam_mine::DiamMine;
-    use skinny_graph::{canonical_key, Label, LabeledGraph};
+    use skinny_graph::{canonical_key, CsrSnapshot, Label, LabeledGraph};
 
     fn l(x: u32) -> Label {
         Label(x)
@@ -860,8 +860,9 @@ mod tests {
     }
 
     fn grow_with(config: &SkinnyMineConfig, g: &LabeledGraph) -> Vec<SkinnyPattern> {
-        let data = MiningData::Single(g);
-        let dm = DiamMine::new(data.clone(), config.sigma, config.support);
+        let snapshot = CsrSnapshot::from_graph(g);
+        let data = MiningData::Snapshot(&snapshot);
+        let dm = DiamMine::new(data, config.sigma, config.support);
         let seeds = dm.mine_exact(config.length.min_len());
         let grower = LevelGrow::new(data, config);
         let mut out = Vec::new();
@@ -1061,8 +1062,9 @@ mod tests {
         let config = SkinnyMineConfig::new(6, 2, 2)
             .with_report(ReportMode::Closed)
             .with_exploration(crate::config::Exploration::ClosureJump);
-        let data_view = MiningData::Single(&g);
-        let dm = DiamMine::new(data_view.clone(), 2, config.support);
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data_view = MiningData::Snapshot(&snapshot);
+        let dm = DiamMine::new(data_view, 2, config.support);
         let seeds = dm.mine_exact(6);
         let backbone_seed = seeds
             .iter()
@@ -1108,8 +1110,9 @@ mod tests {
         )
         .unwrap();
         let config = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All);
-        let data_view = MiningData::Single(&g);
-        let dm = DiamMine::new(data_view.clone(), 2, config.support);
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data_view = MiningData::Snapshot(&snapshot);
+        let dm = DiamMine::new(data_view, 2, config.support);
         let seeds = dm.mine_exact(4);
         let grower = LevelGrow::new(data_view, &config);
         let outcome = grower.grow_cluster(&seeds[0]);
@@ -1122,8 +1125,9 @@ mod tests {
     fn cluster_outcome_counters_populated() {
         let g = data();
         let config = SkinnyMineConfig::new(4, 2, 2).with_report(ReportMode::All);
-        let data_view = MiningData::Single(&g);
-        let dm = DiamMine::new(data_view.clone(), 2, config.support);
+        let snapshot = CsrSnapshot::from_graph(&g);
+        let data_view = MiningData::Snapshot(&snapshot);
+        let dm = DiamMine::new(data_view, 2, config.support);
         let seeds = dm.mine_exact(4);
         assert_eq!(seeds.len(), 1);
         let grower = LevelGrow::new(data_view, &config);

@@ -30,17 +30,18 @@
 //! constraints with **Reducibility** and **Continuity** — lives in
 //! [`framework`].
 //!
-//! ## Data representations
+//! ## Data representation
 //!
-//! All mining passes read the data through `skinny_graph`'s `GraphView`
-//! trait.  [`SkinnyMineConfig::representation`] selects what they sweep:
-//! the input's adjacency lists, or (the default) an immutable columnar
-//! **CSR snapshot** built once per run — flat neighbor columns plus
+//! Graphs are built and updated as adjacency lists (`LabeledGraph`,
+//! `GraphDatabase`), and patterns stay in that form.  Every mining pass
+//! sweeps one form of the data: an immutable columnar **CSR snapshot**
+//! ([`MiningData`]) frozen once per run — flat neighbor columns plus
 //! label-partitioned vertex lists and an edge-triple index that turns
-//! Stage-I seed enumeration into an index walk.  Occurrence lists on the
-//! hot paths live in `skinny_graph::OccurrenceStore` (structure-of-arrays,
-//! arena-based extension joins).  Mining output is **byte-identical**
-//! across representations and thread counts.
+//! Stage-I seed enumeration into an index walk.  [`SkinnyMine::mine`] and
+//! [`SkinnyMine::mine_database`] freeze their input; [`SkinnyMine::mine_data`]
+//! mines a snapshot the caller froze.  Occurrence lists on the hot paths
+//! live in `skinny_graph::OccurrenceStore` (structure-of-arrays,
+//! arena-based extension joins).
 //!
 //! ## Parallelism
 //!
@@ -95,15 +96,14 @@ pub mod serving;
 pub mod stats;
 
 pub use config::{
-    ConstraintCheckMode, Exploration, GrowEngine, LengthConstraint, ReportMode, Representation,
-    SkinnyMineConfig,
+    ConstraintCheckMode, Exploration, GrowEngine, LengthConstraint, ReportMode, SkinnyMineConfig,
 };
 pub use constraints::{
     check_extension, needs_structural_check, precheck_violation, satisfies_skinny_spec,
     verify_canonical_diameter, ConstraintViolation,
 };
 pub use cycle::{CycleKey, CyclePattern};
-pub use data::{MiningData, TransactionIter};
+pub use data::MiningData;
 pub use diam_mine::DiamMine;
 pub use error::{MineError, MineResult};
 pub use ext_index::{ExtEntry, ExtensionScratch, ExtensionTable};

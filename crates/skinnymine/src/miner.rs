@@ -1,14 +1,14 @@
 //! The top-level SkinnyMine driver (Algorithm 1): Stage I (DiamMine) followed
 //! by Stage II (LevelGrow) over every canonical-diameter cluster.
 
-use crate::config::{Representation, SkinnyMineConfig};
+use crate::config::SkinnyMineConfig;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
 use crate::error::{MineError, MineResult};
 use crate::level_grow::{LevelGrow, Seed};
 use crate::result::{MiningResult, SkinnyPattern};
 use crate::stats::MiningStats;
-use skinny_graph::{GraphDatabase, LabeledGraph};
+use skinny_graph::{CsrSnapshot, GraphDatabase, LabeledGraph};
 use std::time::Instant;
 
 /// The SkinnyMine miner.
@@ -145,49 +145,49 @@ impl SkinnyMine {
 
     /// Mines a single data graph (the paper's Definition 8 setting).
     pub fn mine(&self, graph: &LabeledGraph) -> MineResult<MiningResult> {
-        self.mine_data(MiningData::Single(graph))
+        self.freeze_and_mine(|| CsrSnapshot::from_graph(graph))
     }
 
-    /// Mines a graph-transaction database.
+    /// Mines a graph-transaction database.  The database is frozen per-shard
+    /// on the configured worker count; the snapshot is byte-identical for
+    /// every thread count.
     pub fn mine_database(&self, db: &GraphDatabase) -> MineResult<MiningResult> {
-        self.mine_data(MiningData::Transactions(db))
+        self.freeze_and_mine(|| CsrSnapshot::from_database_with_threads(db, self.config.threads))
     }
 
-    /// Mines either setting through the unified data view.
-    ///
-    /// With [`Representation::CsrSnapshot`] (the default) the input is frozen
-    /// into an immutable CSR snapshot first and every mining pass sweeps the
-    /// snapshot's flat columns; output is byte-identical to the adjacency
-    /// path.
+    /// Freezes the input into an immutable CSR snapshot, timed into
+    /// [`MiningStats::freeze_seconds`], and mines the snapshot.  An invalid
+    /// configuration is rejected before the freeze.
+    fn freeze_and_mine(&self, freeze: impl FnOnce() -> CsrSnapshot) -> MineResult<MiningResult> {
+        self.config.validate()?;
+        let tf = Instant::now();
+        let snapshot = freeze();
+        let freeze_seconds = tf.elapsed().as_secs_f64();
+        let mut result = self.mine_data(MiningData::Snapshot(&snapshot))?;
+        result.stats.freeze_seconds = freeze_seconds;
+        Ok(result)
+    }
+
+    /// Mines an already-frozen snapshot of either setting; every mining
+    /// pass sweeps the snapshot's flat columns, and
+    /// [`MiningStats::freeze_seconds`] stays 0.
     pub fn mine_data(&self, data: MiningData<'_>) -> MineResult<MiningResult> {
         self.config.validate()?;
         if data.is_empty() {
             return Err(MineError::InvalidInput { reason: "the input data contains no vertices".into() });
         }
         let mut stats = MiningStats::default();
-        let snapshot;
-        let data = match (self.config.representation, &data) {
-            (Representation::CsrSnapshot, MiningData::Snapshot(_)) | (Representation::Adjacency, _) => data,
-            (Representation::CsrSnapshot, _) => {
-                // freeze per-shard on the configured worker count; the
-                // snapshot is byte-identical for every thread count
-                let tf = Instant::now();
-                snapshot = data.to_snapshot_with_threads(self.config.threads);
-                stats.freeze_seconds = tf.elapsed().as_secs_f64();
-                MiningData::Snapshot(&snapshot)
-            }
-        };
 
         // ---------------- Stage I: DiamMine ----------------
         let t0 = Instant::now();
-        let seeds = self.mine_seeds(&data, None, &mut stats);
+        let seeds = self.mine_seeds(data, None, &mut stats);
         stats.diam_mine.duration = t0.elapsed();
         stats.diam_mine.patterns_out = seeds.len() as u64;
         stats.clusters = seeds.len() as u64;
 
         // ---------------- Stage II: LevelGrow ----------------
         let t1 = Instant::now();
-        let outcomes = self.grow_outcomes(&data, &seeds, &mut stats);
+        let outcomes = self.grow_outcomes(data, &seeds, &mut stats);
         let mut patterns = Vec::new();
         for outcome in outcomes {
             stats.merge(&outcome.stats);
@@ -246,12 +246,12 @@ impl SkinnyMine {
     /// path ladder above level 1 runs unchanged.
     pub(crate) fn mine_seeds(
         &self,
-        data: &MiningData<'_>,
+        data: MiningData<'_>,
         level1: Option<Vec<crate::path_pattern::PathPattern>>,
         stats: &mut MiningStats,
     ) -> Vec<Seed> {
-        let mut dm = DiamMine::new(data.clone(), self.config.sigma, self.config.support)
-            .with_threads(self.config.threads);
+        let mut dm =
+            DiamMine::new(data, self.config.sigma, self.config.support).with_threads(self.config.threads);
         if let Some(level1) = level1 {
             dm = dm.with_frequent_edges(level1);
         }
@@ -292,12 +292,12 @@ impl SkinnyMine {
     /// `stats`.
     pub(crate) fn grow_outcomes(
         &self,
-        data: &MiningData<'_>,
+        data: MiningData<'_>,
         seeds: &[Seed],
         stats: &mut MiningStats,
     ) -> Vec<crate::level_grow::ClusterOutcome> {
         if self.config.threads <= 1 || seeds.len() <= 1 {
-            let grower = LevelGrow::new(data.clone(), &self.config);
+            let grower = LevelGrow::new(data, &self.config);
             let mut scratch = crate::grown::GrowScratch::new();
             return seeds.iter().map(|seed| grower.grow_seed_with(seed, &mut scratch)).collect();
         }
@@ -306,7 +306,7 @@ impl SkinnyMine {
         let (outcomes, counters) = skinny_pool::run_with_counters(
             self.config.threads,
             schedule.len(),
-            || (LevelGrow::new(data.clone(), &self.config), crate::grown::GrowScratch::new()),
+            || (LevelGrow::new(data, &self.config), crate::grown::GrowScratch::new()),
             |(grower, scratch), t| grower.grow_seed_with(&seeds[schedule[t] as usize], scratch),
         );
         stats.record_pool(&counters);

@@ -11,7 +11,7 @@
 //! support threshold, then answer any number of [`MinimalPatternIndex::request`]s
 //! without re-running Stage I.
 
-use crate::config::{LengthConstraint, ReportMode, Representation, SkinnyMineConfig};
+use crate::config::{LengthConstraint, ReportMode, SkinnyMineConfig};
 use crate::cycle::CyclePattern;
 use crate::data::MiningData;
 use crate::diam_mine::DiamMine;
@@ -26,33 +26,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The data a pattern index was built over (owned copy, so the index can
-/// outlive the borrowed input).
-#[derive(Debug, Clone)]
-enum OwnedData {
-    /// Single-graph setting.
-    Single(LabeledGraph),
-    /// Graph-transaction setting.
-    Transactions(GraphDatabase),
-}
-
-impl OwnedData {
-    fn view(&self) -> MiningData<'_> {
-        match self {
-            OwnedData::Single(g) => MiningData::Single(g),
-            OwnedData::Transactions(db) => MiningData::Transactions(db),
-        }
-    }
-}
-
 /// Pre-computed minimal constraint-satisfying patterns — frequent paths
 /// indexed by length plus the frequent minimal odd cycles `C_{2l+1}` — with
 /// their occurrences.
 ///
 /// The index freezes its data into a [`CsrSnapshot`] **once at build time**;
 /// Stage I runs over the snapshot's triple index and every subsequent
-/// [`MinimalPatternIndex::request`] is served from the same frozen columns
-/// (unless the request explicitly asks for the adjacency representation).
+/// [`MinimalPatternIndex::request`] is served from the same frozen columns.
 ///
 /// The index is `Sync`: one instance can serve [`MinimalPatternIndex::request`]s
 /// from many threads at once through the [`crate::serving`] layer — results
@@ -63,7 +43,10 @@ impl OwnedData {
 /// pre-computation).
 #[derive(Debug)]
 pub struct MinimalPatternIndex {
-    data: OwnedData,
+    /// The owned database of an index built over the transaction setting,
+    /// which [`MinimalPatternIndex::update_database`] mutates (`None` for a
+    /// single-graph index: nothing reads the input graph after the freeze).
+    database: Option<GraphDatabase>,
     snapshot: CsrSnapshot,
     sigma: usize,
     support: SupportMeasure,
@@ -81,7 +64,7 @@ pub struct MinimalPatternIndex {
 impl Clone for MinimalPatternIndex {
     fn clone(&self) -> Self {
         MinimalPatternIndex {
-            data: self.data.clone(),
+            database: self.database.clone(),
             snapshot: self.snapshot.clone(),
             sigma: self.sigma,
             support: self.support,
@@ -106,7 +89,7 @@ impl MinimalPatternIndex {
         support: SupportMeasure,
         max_len: Option<usize>,
     ) -> Self {
-        Self::build_owned(OwnedData::Single(graph.clone()), sigma, support, max_len)
+        Self::build_with_threads(graph, sigma, support, max_len, 1)
     }
 
     /// Builds the index over a graph-transaction database.
@@ -116,11 +99,14 @@ impl MinimalPatternIndex {
         support: SupportMeasure,
         max_len: Option<usize>,
     ) -> Self {
-        Self::build_owned(OwnedData::Transactions(db.clone()), sigma, support, max_len)
-    }
-
-    fn build_owned(data: OwnedData, sigma: usize, support: SupportMeasure, max_len: Option<usize>) -> Self {
-        Self::build_owned_with_threads(data, sigma, support, max_len, 1)
+        Self::freeze_and_build(
+            || CsrSnapshot::from_database(db),
+            Some(db.clone()),
+            sigma,
+            support,
+            max_len,
+            1,
+        )
     }
 
     /// Builds the index over a single graph with a parallel Stage I.
@@ -131,24 +117,23 @@ impl MinimalPatternIndex {
         max_len: Option<usize>,
         threads: usize,
     ) -> Self {
-        Self::build_owned_with_threads(OwnedData::Single(graph.clone()), sigma, support, max_len, threads)
+        Self::freeze_and_build(|| CsrSnapshot::from_graph(graph), None, sigma, support, max_len, threads)
     }
 
-    fn build_owned_with_threads(
-        data: OwnedData,
+    /// One CSR freeze per build; Stage I and all request serving sweep it.
+    fn freeze_and_build(
+        freeze: impl FnOnce() -> CsrSnapshot,
+        database: Option<GraphDatabase>,
         sigma: usize,
         support: SupportMeasure,
         max_len: Option<usize>,
         threads: usize,
     ) -> Self {
         let t0 = Instant::now();
-        // one CSR freeze per build (per-shard on the worker pool; a cheap
-        // borrow-then-own when the data is already frozen); Stage I and all
-        // request serving sweep it
-        let snapshot = data.view().to_snapshot_with_threads(threads).into_owned();
+        let snapshot = freeze();
         let (by_length, cycles_by_diameter) = Self::stage_one(&snapshot, sigma, support, max_len, threads);
         MinimalPatternIndex {
-            data,
+            database,
             snapshot,
             sigma,
             support,
@@ -345,7 +330,7 @@ impl MinimalPatternIndex {
     /// over a single graph ([`MinimalPatternIndex::build`]) — there is no
     /// transaction granularity to update at.
     pub fn update_database(&mut self, mutate: impl FnOnce(&mut GraphDatabase)) -> MineResult<u64> {
-        let OwnedData::Transactions(db) = &mut self.data else {
+        let Some(db) = &mut self.database else {
             return Err(MineError::InvalidInput {
                 reason: "update_database requires an index built over a transaction database".into(),
             });
@@ -393,10 +378,7 @@ impl MinimalPatternIndex {
             Vec::new()
         };
         let clusters = (path_seeds.len() + cycle_seeds.len()) as u64;
-        let serve_data = match config.representation {
-            Representation::Adjacency => self.data.view(),
-            Representation::CsrSnapshot => MiningData::Snapshot(&self.snapshot),
-        };
+        let serve_data = MiningData::Snapshot(&self.snapshot);
         // cost-ordered schedule, as in `SkinnyMine::grow_outcomes`: dispatch
         // the biggest cluster (most embedding rows) first so it cannot land
         // at the tail of the queue; merge back in seed order (paths first),
@@ -417,7 +399,7 @@ impl MinimalPatternIndex {
             // per-worker grower *and* grow-engine scratch (extension table +
             // sweep buffers), reused across all the clusters the worker
             // grows or steals
-            || (LevelGrow::new(serve_data.clone(), config), crate::grown::GrowScratch::new()),
+            || (LevelGrow::new(serve_data, config), crate::grown::GrowScratch::new()),
             |(grower, scratch), t| {
                 let i = schedule[t] as usize;
                 if i < path_seeds.len() {
@@ -567,7 +549,7 @@ mod tests {
         let first = idx.request(&config).unwrap();
         let second = idx.request(&config).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "a cache hit must be a pointer-copy");
-        // thread count and representation normalize onto the same slot
+        // the thread count normalizes onto the same slot
         let pooled = idx.request(&config.clone().with_threads(8)).unwrap();
         assert!(Arc::ptr_eq(&first, &pooled));
         let stats = idx.serving_stats();

@@ -13,7 +13,13 @@ use std::time::Duration;
 pub struct StageStats {
     /// Wall-clock time spent in the stage.
     pub duration: Duration,
-    /// Number of candidate patterns examined.
+    /// Work items examined by the stage.  Stage I leaves it at 0.  For
+    /// Stage II (`MiningStats::level_grow`) after a full mine, an
+    /// incremental build or refresh, or an index request, it is the
+    /// **sum** of the candidate extensions evaluated and the grown patterns
+    /// taken off the cluster worklists
+    /// ([`ClusterOutcome::examined`](crate::level_grow::ClusterOutcome::examined)),
+    /// not candidates alone.
     pub candidates_examined: u64,
     /// Number of frequent patterns produced by the stage.
     pub patterns_out: u64,
@@ -112,9 +118,8 @@ impl JoinPhaseStats {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MiningStats {
     /// Seconds spent freezing the input into per-transaction CSR snapshots
-    /// before Stage I (0 when the input was already a snapshot or mining ran
-    /// on the adjacency representation) — the front-of-pipeline ingest cost
-    /// the stage timings never see.
+    /// before Stage I (0 when the input was already a snapshot) — the
+    /// front-of-pipeline ingest cost the stage timings never see.
     pub freeze_seconds: f64,
     /// Stage I (DiamMine): mining canonical diameters.
     pub diam_mine: StageStats,

@@ -7,9 +7,7 @@
 //! canonical-diameter invariant.
 
 use skinny_graph::{Label, LabeledGraph, SupportMeasure};
-use skinnymine::{
-    satisfies_skinny_spec, MinimalPatternIndex, ReportMode, Representation, SkinnyMine, SkinnyMineConfig,
-};
+use skinnymine::{satisfies_skinny_spec, MinimalPatternIndex, ReportMode, SkinnyMine, SkinnyMineConfig};
 
 fn l(x: u32) -> Label {
     Label(x)
@@ -65,21 +63,6 @@ fn c5_is_mined_for_l2_and_missed_without_cycle_seeds() {
         !crippled.patterns.iter().any(is_c5),
         "C5 must be unreachable from path seeds; if this fires, the regression test fixture is wrong"
     );
-}
-
-#[test]
-fn c5_cluster_is_representation_invariant() {
-    let g = pentagon_data();
-    let base = SkinnyMineConfig::new(2, 1, 2).with_report(ReportMode::All);
-    let adjacency =
-        SkinnyMine::new(base.clone().with_representation(Representation::Adjacency)).mine(&g).unwrap();
-    let csr = SkinnyMine::new(base.with_representation(Representation::CsrSnapshot)).mine(&g).unwrap();
-    assert_eq!(adjacency.patterns.len(), csr.patterns.len());
-    for (a, c) in adjacency.patterns.iter().zip(&csr.patterns) {
-        assert_eq!(skinny_graph::canonical_key(&a.graph), skinny_graph::canonical_key(&c.graph));
-        assert_eq!(a.embeddings.embeddings, c.embeddings.embeddings);
-        assert_eq!(a.support, c.support);
-    }
 }
 
 #[test]

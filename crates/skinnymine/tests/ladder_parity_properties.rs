@@ -11,7 +11,7 @@
 //!   length sweep) must agree with fresh per-length `mine_exact` runs.
 
 use proptest::prelude::*;
-use skinny_graph::{GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
+use skinny_graph::{CsrSnapshot, GraphDatabase, Label, LabeledGraph, SupportMeasure, VertexId};
 use skinnymine::{DiamMine, MiningData, PathPattern};
 
 /// Strategy: a small random transaction database with few labels so that
@@ -66,12 +66,13 @@ proptest! {
 
     #[test]
     fn sharded_ladder_is_thread_invariant(db in any_database(), sigma in 1..3usize) {
-        let data = MiningData::Transactions(&db);
-        let baseline = DiamMine::new(data.clone(), sigma, SupportMeasure::MinimumImage)
+        let snapshot = CsrSnapshot::from_database(&db);
+        let data = MiningData::Snapshot(&snapshot);
+        let baseline = DiamMine::new(data, sigma, SupportMeasure::MinimumImage)
             .with_threads(1)
             .mine_range(1, Some(6));
         for threads in [2usize, 8] {
-            let run = DiamMine::new(data.clone(), sigma, SupportMeasure::MinimumImage)
+            let run = DiamMine::new(data, sigma, SupportMeasure::MinimumImage)
                 .with_threads(threads)
                 .mine_range(1, Some(6));
             prop_assert_eq!(
@@ -91,7 +92,8 @@ proptest! {
 
     #[test]
     fn current_kernels_match_reference_joins(db in any_database(), sigma in 1..3usize) {
-        let data = MiningData::Transactions(&db);
+        let snapshot = CsrSnapshot::from_database(&db);
+        let data = MiningData::Snapshot(&snapshot);
         let dm = DiamMine::new(data, sigma, SupportMeasure::MinimumImage);
         let len1 = dm.frequent_edges();
         let len2 = dm.concat_double(&len1);
@@ -115,7 +117,8 @@ proptest! {
 
     #[test]
     fn carried_ladder_matches_fresh_mines(db in any_database(), sigma in 1..3usize) {
-        let data = MiningData::Transactions(&db);
+        let snapshot = CsrSnapshot::from_database(&db);
+        let data = MiningData::Snapshot(&snapshot);
         let dm = DiamMine::new(data, sigma, SupportMeasure::MinimumImage);
         // one carried ladder across the whole sweep vs a fresh build per length
         let ranged = dm.mine_range(1, Some(6));

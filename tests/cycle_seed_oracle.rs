@@ -23,7 +23,7 @@
 //!   finds; those counts are printed, not asserted.
 
 use skinny_datagen::splitmix64;
-use skinny_graph::{GraphDatabase, GraphView, Label, LabeledGraph, SupportMeasure, VertexId};
+use skinny_graph::{CsrSnapshot, GraphDatabase, GraphView, Label, LabeledGraph, SupportMeasure, VertexId};
 use skinnymine::{CycleKey, CyclePattern, DiamMine, MinimalPatternIndex, MiningData, MiningStats};
 use std::collections::BTreeMap;
 
@@ -181,15 +181,14 @@ fn has_extra_key(a: &[CyclePattern], b: &[CyclePattern]) -> bool {
 /// tallies.  `index` builds the minimal-pattern index of the same input at
 /// a given σ and measure.
 fn check_input(
-    data: &MiningData<'_>,
+    snapshot: &CsrSnapshot,
     index: impl Fn(usize, SupportMeasure) -> MinimalPatternIndex,
     tallies: &mut BTreeMap<String, Tally>,
 ) {
-    let snapshot = data.to_snapshot();
-    let data = MiningData::Snapshot(&snapshot);
+    let data = MiningData::Snapshot(snapshot);
     for measure in MEASURES {
         for sigma in [2usize, 3] {
-            let dm = DiamMine::new(data.clone(), sigma, measure);
+            let dm = DiamMine::new(data, sigma, measure);
             let idx = index(sigma, measure);
             for l in 1..=3usize {
                 // the call `SkinnyMine::mine` makes for an `Exactly(l)` run
@@ -262,7 +261,7 @@ fn single_graph_cycle_seeds_match_brute_force() {
         let vertex_labels = 1 + rng.below(3);
         let g = random_graph(&mut rng, vertex_labels);
         let index = |sigma, measure| MinimalPatternIndex::build(&g, sigma, measure, None);
-        check_input(&MiningData::Single(&g), index, &mut tallies);
+        check_input(&CsrSnapshot::from_graph(&g), index, &mut tallies);
     }
     report("single graph", &tallies);
     // the byte-for-byte equality above must not be vacuous
@@ -280,7 +279,7 @@ fn transaction_cycle_seeds_match_brute_force() {
             (0..transactions).map(|_| random_graph(&mut rng, vertex_labels)).collect(),
         );
         let index = |sigma, measure| MinimalPatternIndex::build_for_database(&db, sigma, measure, None);
-        check_input(&MiningData::Transactions(&db), index, &mut tallies);
+        check_input(&CsrSnapshot::from_database(&db), index, &mut tallies);
     }
     report("transactions", &tallies);
     // the byte-for-byte equalities above must not be vacuous

@@ -1,15 +1,17 @@
 //! Workspace-level determinism guarantee of the parallel mining engine:
-//! for any thread count **and for either data representation**
-//! (adjacency lists or the columnar CSR snapshot), `SkinnyMine` must produce
+//! for any thread count **and whichever way the input arrives** (a graph or
+//! database that `mine`/`mine_database` freeze, or a CSR snapshot frozen
+//! beforehand and handed to `mine_data`), `SkinnyMine` must produce
 //! **byte-identical** results — same patterns, same order, same embeddings —
 //! because Stage I's chunked occurrence joins and Stage II's per-seed
 //! cluster growth both merge their partial results in deterministic task
-//! order, and both representations share one neighbor/edge iteration order.
+//! order, and a parallel freeze is byte-identical to a serial one.
 
 use skinny_datagen::{erdos_renyi, inject_patterns, skinny_pattern, ErConfig, SkinnyPatternConfig};
-use skinny_graph::{canonical_key, LabeledGraph, SupportMeasure};
+use skinny_graph::{canonical_key, CsrSnapshot, GraphDatabase, LabeledGraph, SupportMeasure};
 use skinnymine::{
-    Exploration, LengthConstraint, MiningResult, ReportMode, Representation, SkinnyMine, SkinnyMineConfig,
+    Exploration, LengthConstraint, MineResult, MiningData, MiningResult, ReportMode, SkinnyMine,
+    SkinnyMineConfig,
 };
 
 /// An Erdős–Rényi background with a known skinny pattern injected twice.
@@ -40,36 +42,43 @@ fn fingerprint(result: &MiningResult) -> Vec<String> {
         .collect()
 }
 
-fn assert_thread_invariant(config: SkinnyMineConfig, graph: &LabeledGraph) {
-    let baseline =
-        SkinnyMine::new(config.clone().with_threads(1).with_representation(Representation::Adjacency))
-            .mine(graph)
-            .expect("mining succeeds");
+/// Mines with `config` at 1, 2 and 8 threads, once through `mine_raw`
+/// (which freezes its input) and once over the pre-frozen `snapshot`, and
+/// asserts every run is byte-identical to the sequential `mine_raw` run.
+fn assert_invariant(
+    config: SkinnyMineConfig,
+    snapshot: &CsrSnapshot,
+    mine_raw: impl Fn(&SkinnyMine) -> MineResult<MiningResult>,
+) {
+    let baseline = mine_raw(&SkinnyMine::new(config.clone().with_threads(1))).expect("mining succeeds");
     assert!(!baseline.is_empty(), "fixture must produce patterns for the comparison to mean anything");
-    for representation in [Representation::Adjacency, Representation::CsrSnapshot] {
-        for threads in [1usize, 2, 8] {
-            if representation == Representation::Adjacency && threads == 1 {
-                continue; // that is the baseline itself
-            }
-            let run =
-                SkinnyMine::new(config.clone().with_threads(threads).with_representation(representation))
-                    .mine(graph)
-                    .expect("mining succeeds");
+    for threads in [1usize, 2, 8] {
+        let miner = SkinnyMine::new(config.clone().with_threads(threads));
+        let pre_frozen = miner.mine_data(MiningData::Snapshot(snapshot)).expect("mining succeeds");
+        assert_eq!(pre_frozen.stats.freeze_seconds, 0.0, "a pre-frozen snapshot is mined without a freeze");
+        let mut runs = vec![("pre-frozen", pre_frozen)];
+        if threads > 1 {
+            runs.push(("raw", mine_raw(&miner).expect("mining succeeds")));
+        }
+        for (input, run) in runs {
             assert_eq!(
                 fingerprint(&baseline),
                 fingerprint(&run),
-                "threads = {threads}, representation = {representation:?} diverged from the \
-                 sequential adjacency result"
+                "threads = {threads}, input = {input} diverged from the sequential result"
             );
             assert_eq!(baseline.stats.clusters, run.stats.clusters);
             assert_eq!(baseline.stats.reported_patterns, run.stats.reported_patterns);
             assert_eq!(
                 baseline.stats.level_grow.candidates_examined, run.stats.level_grow.candidates_examined,
-                "threads = {threads}, representation = {representation:?}: ordered merge must \
-                 reproduce the sequential counters"
+                "threads = {threads}, input = {input}: ordered merge must reproduce the sequential \
+                 counters"
             );
         }
     }
+}
+
+fn assert_thread_invariant(config: SkinnyMineConfig, graph: &LabeledGraph) {
+    assert_invariant(config, &CsrSnapshot::from_graph(graph), |miner| miner.mine(graph));
 }
 
 #[test]
@@ -98,31 +107,12 @@ fn transaction_setting_is_thread_invariant() {
         let pattern = skinny_pattern(&SkinnyPatternConfig::new(10, 6, 2, 30, 77));
         inject_patterns(&background, &[(pattern, 1)], seed + 1).graph
     };
-    let db = skinny_graph::GraphDatabase::from_graphs((0..4).map(|i| t(i as u64)).collect());
+    let db = GraphDatabase::from_graphs((0..4).map(|i| t(i as u64)).collect());
     let config = SkinnyMineConfig::new(6, 2, 3)
-        .with_support_measure(skinny_graph::SupportMeasure::Transactions)
+        .with_support_measure(SupportMeasure::Transactions)
         .with_report(ReportMode::Closed)
         .with_exploration(Exploration::ClosureJump);
-    let baseline =
-        SkinnyMine::new(config.clone().with_threads(1).with_representation(Representation::Adjacency))
-            .mine_database(&db)
-            .expect("mining succeeds");
-    for representation in [Representation::Adjacency, Representation::CsrSnapshot] {
-        for threads in [1usize, 2, 8] {
-            if representation == Representation::Adjacency && threads == 1 {
-                continue;
-            }
-            let run =
-                SkinnyMine::new(config.clone().with_threads(threads).with_representation(representation))
-                    .mine_database(&db)
-                    .expect("mining succeeds");
-            assert_eq!(
-                fingerprint(&baseline),
-                fingerprint(&run),
-                "threads = {threads}, representation = {representation:?}"
-            );
-        }
-    }
+    assert_invariant(config, &CsrSnapshot::from_database(&db), |miner| miner.mine_database(&db));
 }
 
 /// Two disjoint copies each of a labeled pentagon and a labeled heptagon,
